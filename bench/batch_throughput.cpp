@@ -32,7 +32,7 @@ Point run_point(const sim::Scenario& scenario, std::size_t batch,
                 sim::BatchMode mode, const bench::CliOptions& opts) {
   std::vector<sim::BatchJob> jobs(batch, {scenario, scenario.seed});
   sim::BatchRunInfo info;
-  const sim::BatchConfig config{opts.threads, mode, opts.cache_capacity};
+  const sim::BatchConfig config{opts.threads, mode};
   const auto results = sim::run_batch(jobs, config, &info);
   const auto summary = sim::summarize(results, info);
   if (summary.failed != 0) {
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   sim::Scenario scenario = std::move(loaded.value());
-  if (opts.seed != 1) scenario.seed = opts.seed;
+  if (opts.seed_explicit) scenario.seed = opts.seed;
   if (opts.search_explicit) scenario.sar_search = opts.search;
   scenario.localize_threads = opts.threads;
 
@@ -79,24 +79,19 @@ int main(int argc, char** argv) {
     scenario.sar_kernel = kernel;
     const std::string kname = localize::sar_kernel_name(kernel);
 
-    std::printf("kernel %-5s  %-12s %10s %14s %12s %12s\n", kname.c_str(),
-                "mode", "batch", "missions/s", "cache h/m", "arena KiB");
+    std::printf("kernel %-5s  %-12s %10s %14s %12s\n", kname.c_str(), "mode",
+                "batch", "missions/s", "arena KiB");
     double batched_mps_1 = 0.0, batched_mps_ref = 0.0;
     for (std::size_t batch : sizes) {
       const Point p = run_point(scenario, batch, sim::BatchMode::kBatched, opts);
-      std::printf("              %-12s %10zu %14.2f %7llu/%-4llu %12.1f\n",
-                  "batched", p.batch, p.missions_per_second,
-                  static_cast<unsigned long long>(p.info.cache_hits),
-                  static_cast<unsigned long long>(p.info.cache_misses),
+      std::printf("              %-12s %10zu %14.2f %12.1f\n", "batched",
+                  p.batch, p.missions_per_second,
                   static_cast<double>(p.info.arena_high_water_bytes) / 1024.0);
       metrics.add("batched_" + kname + "_mps_" + std::to_string(batch),
                   p.missions_per_second);
       if (batch == 1) batched_mps_1 = p.missions_per_second;
       if (batch == reference_sizes.back()) batched_mps_ref = p.missions_per_second;
       if (batch == sizes.back()) {
-        metrics.add(kname + "_cache_hits", static_cast<double>(p.info.cache_hits));
-        metrics.add(kname + "_cache_misses",
-                    static_cast<double>(p.info.cache_misses));
         metrics.add(kname + "_arena_high_water_bytes",
                     static_cast<double>(p.info.arena_high_water_bytes));
         metrics.add(kname + "_deferred_tasks",
@@ -107,8 +102,8 @@ int main(int argc, char** argv) {
     }
     for (std::size_t batch : reference_sizes) {
       const Point p = run_point(scenario, batch, sim::BatchMode::kPerMission, opts);
-      std::printf("              %-12s %10zu %14.2f %12s %12s\n", "per-mission",
-                  p.batch, p.missions_per_second, "-", "-");
+      std::printf("              %-12s %10zu %14.2f %12s\n", "per-mission",
+                  p.batch, p.missions_per_second, "-");
       metrics.add("per_mission_" + kname + "_mps_" + std::to_string(batch),
                   p.missions_per_second);
     }

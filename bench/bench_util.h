@@ -71,6 +71,10 @@ Status parse_cli_number(const std::string& flag, const char* text, T& out) {
 /// better than a sweep silently running the default.
 struct CliOptions {
   std::uint64_t seed = 1;
+  /// True when --seed was passed explicitly, whatever its value. Benches
+  /// that fall back to a scenario's own seed test this, never `seed != 1`:
+  /// `--seed 1` is a seed like any other.
+  bool seed_explicit = false;
   int trials = 0;       // bench-specific meaning (trials, per-point runs, ...)
   unsigned threads = 0; // 0 = hardware concurrency
   std::string out;      // JSON metrics path; empty = stdout only
@@ -89,14 +93,11 @@ struct CliOptions {
   /// sweep so existing runs stay comparable.
   localize::SarSearch search = localize::SarSearch::kExact;
   bool search_explicit = false;
-  /// Batch execution mode (--batch batched|per-mission): whether repeated
-  /// missions share the measurement plane / geometry cache / arena, or each
-  /// job runs its pipeline independently. Results are bit-identical either
+  /// Batch execution mode (--batch batched|per-mission): whether a batch's
+  /// missions share deduplicated localize work and SAR planes, or each job
+  /// runs its pipeline independently. Results are bit-identical either
   /// way; the knob exists to measure the difference and to pin parity.
   sim::BatchMode batch_mode = sim::BatchMode::kBatched;
-  /// GeometryCache retention bound (--cache-capacity N); 0 disables
-  /// retention so every plane group rebuilds its buffers cold.
-  std::size_t cache_capacity = localize::GeometryCache::kDefaultCapacity;
   /// `--set key=value` overrides, in order (scenario_runner).
   std::vector<std::pair<std::string, std::string>> overrides;
 
@@ -119,6 +120,7 @@ struct CliOptions {
         if (Status s = parse_cli_number(arg, value, seed); !s.is_ok()) {
           return fail(s);
         }
+        seed_explicit = true;
       } else if (arg == "--trials" && (value = value_of(i))) {
         if (Status s = parse_cli_number(arg, value, trials); !s.is_ok()) {
           return fail(s);
@@ -151,10 +153,6 @@ struct CliOptions {
                        "--batch wants batched|per-mission, got '" +
                            std::string(value) + "'"});
         }
-      } else if (arg == "--cache-capacity" && (value = value_of(i))) {
-        if (Status s = parse_cli_number(arg, value, cache_capacity); !s.is_ok()) {
-          return fail(s);
-        }
       } else if (arg == "--report") {
         report = true;
       } else if (arg == "--trace-out" && (value = value_of(i))) {
@@ -179,7 +177,7 @@ struct CliOptions {
                  "usage: %s [--seed N] [--trials N] [--threads N] "
                  "[--kernel exact|fast|auto] "
                  "[--search exact|incremental|coarse2fine] "
-                 "[--batch batched|per-mission] [--cache-capacity N] "
+                 "[--batch batched|per-mission] "
                  "[--out FILE] "
                  "[--scenario FILE] [--set key=value]... [--report] "
                  "[--trace-out FILE]\n",

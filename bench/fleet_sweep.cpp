@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     }
     const auto start = std::chrono::steady_clock::now();
     const auto results = sim::run_batch(
-        jobs, {options.threads, options.batch_mode, options.cache_capacity});
+        jobs, {options.threads, options.batch_mode});
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

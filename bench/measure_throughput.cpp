@@ -8,9 +8,8 @@
 //   exact  — the hoisted ForwardPlane: the per-waypoint half is computed
 //     once per flight and shared across tags; the per-(point, tag) work
 //     shrinks to one relay→tag channel. Bit-identical to scalar.
-//   fast   — plane + the multiversioned SIMD forward kernels
-//     (synthesize_forward_channels with the dispatcher's active variant;
-//     every supported ISA is also timed on the synthesis inner loop).
+//   fast   — plane + the forward kernels (synthesize_forward_channels);
+//     the synthesis inner loop is also timed alone.
 //
 //   bench_measure_throughput                       # full ladder
 //   bench_measure_throughput --trials 5            # timing repetitions
@@ -28,7 +27,6 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "core/forward_kernel.h"
 #include "core/forward_plane.h"
 #include "core/system.h"
 #include "drone/flight.h"
@@ -175,27 +173,21 @@ int main(int argc, char** argv) {
     metrics.add("speedup_fast_" + suffix, fast_x);
   }
 
-  // Per-ISA synthesis inner loop (the part the multiversioned kernels own),
-  // at the top of the ladder.
-  std::printf("\nsynthesis kernel, %zu tags x %zu waypoints:\n", ladder.back(),
-              flight.size());
+  // The synthesis inner loop alone (the part the forward kernels own), at
+  // the top of the ladder.
   {
     const auto tags = spread_tags(scenario, ladder.back());
     const auto plane = core::ForwardPlane::build(system, flight);
-    for (const auto& variant : core::forward_kernel_variants()) {
-      if (!variant.supported) continue;
-      double best = 1e300;
-      for (int r = 0; r < reps; ++r) {
-        const auto start = std::chrono::steady_clock::now();
-        const auto synth =
-            core::synthesize_forward_channels(system, plane, tags, &variant);
-        best = std::min(best, seconds_since(start));
-        if (synth.size() != tags.size()) return 1;
-      }
-      std::printf("  %-8s %10.2f ms\n", variant.isa, best * 1e3);
-      metrics.add(std::string("synthesis_ms_") + variant.isa, best * 1e3);
+    double best = 1e300;
+    for (int r = 0; r < reps; ++r) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto synth = core::synthesize_forward_channels(system, plane, tags);
+      best = std::min(best, seconds_since(start));
+      if (synth.size() != tags.size()) return 1;
     }
-    std::printf("  active: %s\n", core::forward_kernel_active().isa);
+    std::printf("\nsynthesis kernel, %zu tags x %zu waypoints: %.2f ms\n",
+                ladder.back(), flight.size(), best * 1e3);
+    metrics.add("synthesis_ms", best * 1e3);
   }
 
   if (!bench::finish_observability(opts, metrics)) return 1;

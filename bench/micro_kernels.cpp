@@ -10,7 +10,6 @@
 #include "channel/channel_model.h"
 #include "channel/environment.h"
 #include "channel/path_loss.h"
-#include "core/forward_kernel.h"
 #include "core/forward_plane.h"
 #include "core/system.h"
 #include "drone/flight.h"
@@ -168,19 +167,18 @@ std::vector<channel::Vec3> forward_tags(std::size_t count) {
   return tags;
 }
 
-void BM_ForwardSynthesis(benchmark::State& state,
-                         const core::ForwardKernelVariant* variant) {
+void BM_ForwardSynthesis(benchmark::State& state) {
   const auto& fixture = forward_fixture();
   const auto tags = forward_tags(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::synthesize_forward_channels(fixture.system, fixture.plane, tags,
-                                          variant));
+        core::synthesize_forward_channels(fixture.system, fixture.plane, tags));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(tags.size()) *
                           static_cast<std::int64_t>(fixture.plane.size()));
 }
+BENCHMARK(BM_ForwardSynthesis)->Arg(1)->Arg(16)->Arg(256)->ArgName("tags");
 
 void BM_SincosVariant(benchmark::State& state,
                       const localize::SarKernelVariant* variant) {
@@ -210,16 +208,6 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(
         (std::string("BM_Sincos/impl:") + variant.isa).c_str(),
         BM_SincosVariant, &variant);
-  }
-  for (const auto& variant : core::forward_kernel_variants()) {
-    if (!variant.supported) continue;
-    benchmark::RegisterBenchmark(
-        (std::string("BM_ForwardSynthesis/impl:") + variant.isa).c_str(),
-        BM_ForwardSynthesis, &variant)
-        ->Arg(1)
-        ->Arg(16)
-        ->Arg(256)
-        ->ArgName("tags");
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

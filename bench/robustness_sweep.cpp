@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::uint64_t first_seed = opts.seed != 1 ? opts.seed : base.seed;
+  const std::uint64_t first_seed = opts.seed_explicit ? opts.seed : base.seed;
   const std::size_t trials =
       opts.trials > 0 ? static_cast<std::size_t>(opts.trials) : 1;
 

@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::uint64_t first_seed = opts.seed != 1 ? opts.seed : scenario.seed;
+  const std::uint64_t first_seed = opts.seed_explicit ? opts.seed : scenario.seed;
   const std::size_t trials = opts.trials > 0 ? static_cast<std::size_t>(opts.trials) : 1;
   std::printf("scenario '%s': %zu tag(s), %zu leg(s); %zu trial(s) from base seed %llu, %u thread(s)\n\n",
               scenario.name.c_str(), scenario.tags.size(), scenario.legs.size(),
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   sim::BatchRunInfo info;
   const auto results = sim::run_seed_sweep(
       scenario, first_seed, trials,
-      {opts.threads, opts.batch_mode, opts.cache_capacity}, &info);
+      {opts.threads, opts.batch_mode}, &info);
   for (std::size_t i = 0; i < results.size(); ++i) print_result(i, results[i]);
 
   const auto summary = sim::summarize(results, info);
@@ -114,13 +114,9 @@ int main(int argc, char** argv) {
               summary.jobs, summary.failed, summary.degraded,
               summary.mean_discovered, summary.mean_localized,
               summary.mean_coverage * 100.0, summary.total_seconds);
-  std::printf("batch mode %s: %.1f missions/s; geometry cache %llu hit(s) / "
-              "%llu miss(es); arena high-water %zu bytes\n",
+  std::printf("batch mode %s: %.1f missions/s; arena high-water %zu bytes\n",
               sim::batch_mode_name(opts.batch_mode),
-              summary.missions_per_second,
-              static_cast<unsigned long long>(summary.cache_hits),
-              static_cast<unsigned long long>(summary.cache_misses),
-              summary.arena_high_water_bytes);
+              summary.missions_per_second, summary.arena_high_water_bytes);
 
   // Timing footer (wall clock — varies run to run, unlike the lines above).
   if (!results.empty() && results.front().status.is_ok()) {
@@ -140,8 +136,6 @@ int main(int argc, char** argv) {
   metrics.add("mean_coverage", summary.mean_coverage);
   metrics.add("total_seconds", summary.total_seconds);
   metrics.add("missions_per_second", summary.missions_per_second);
-  metrics.add("cache_hits", static_cast<double>(summary.cache_hits));
-  metrics.add("cache_misses", static_cast<double>(summary.cache_misses));
   metrics.add("arena_high_water_bytes",
               static_cast<double>(summary.arena_high_water_bytes));
   if (!bench::finish_observability(opts, metrics)) return 1;

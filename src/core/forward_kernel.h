@@ -1,7 +1,7 @@
 // Forward-synthesis kernel layer: the measure-stage inner loop (paper
 // Eqs. 4–10 — relay→tag propagation, tag power-up, backscatter SNR, and the
-// measured channel h1²·g_d·g_u·drho·h2²·c_hw) as a family of multiversioned
-// kernels, the forward twin of the SAR layer in localize/sar_kernel.h.
+// measured channel h1²·g_d·g_u·drho·h2²·c_hw), the forward twin of the SAR
+// layer in localize/sar_kernel.h.
 //
 // The measure plane has three pieces (see DESIGN.md "Measurement-synthesis
 // plane"):
@@ -13,13 +13,11 @@
 //     per-obstacle constants hoisted.
 //   - the kernels below turn that geometry into distances, propagation
 //     phasors, and per-(waypoint, tag) readability masks + complex target
-//     channels, SIMD across waypoints.
+//     channels.
 //
-// Like the SAR kernels, the bodies are compiled several times from one
-// source (forward_kernel_impl.inc) under different target ISAs; a runtime
-// dispatch table picks the widest supported variant, overridable via the
-// RFLY_FORWARD_ISA environment variable. Variants are exposed individually
-// so benches can sweep them and tests can cross-check them.
+// Unlike the SAR kernels, the forward kernels have a single scalar build:
+// per-ISA builds of the same bodies measured slower than it (see
+// forward_kernel.cpp).
 #pragma once
 
 #include <cstddef>
@@ -38,8 +36,8 @@ namespace rfly::core {
 ///               once per flight. Bit-identical to `off` at any thread
 ///               count, batch mode and fault config (pinned by the
 ///               `measure` parity matrix).
-///   - `fast`  — kernel-synthesized channels: linear-domain power math,
-///               SIMD across waypoints. Mathematically equivalent, not
+///   - `fast`  — kernel-synthesized channels: linear-domain power math
+///               over waypoints × tags. Mathematically equivalent, not
 ///               bit-identical.
 ///   - `auto`  — let the library choose. Unlike the SAR kernel's auto
 ///               (which picks fast), this resolves to `exact`: the default
@@ -61,11 +59,8 @@ bool parse_measure_plane(const std::string& text, MeasurePlane& out);
 /// defaults must stay bit-identical to the seed; fast is opt-in).
 MeasurePlane resolve_measure_plane(MeasurePlane mode);
 
-/// Flat argument block for the kernel entry points. Plain pointers only:
-/// the kernel bodies are compiled under per-ISA target pragmas where
-/// instantiating templates (std::vector and friends) could leak wide
-/// instructions into code shared with baseline callers. One struct serves
-/// all three ops; each op documents the fields it reads.
+/// Flat argument block for the kernel entry points. One struct serves all
+/// three ops; each op documents the fields it reads.
 struct ForwardKernelArgs {
   // Shared waypoint plane (SoA, length `count`): the flight's actual
   // relay positions.
@@ -121,11 +116,10 @@ struct ForwardKernelArgs {
   std::uint8_t* const* readable_tags = nullptr;  // per-tag masks (0/1)
 };
 
-/// One compiled variant of the forward kernels. `supported` is the runtime
-/// CPU check; calling an unsupported variant is undefined (illegal
-/// instruction).
+/// The forward kernels' entry points, under the ISA name the SAR kernel
+/// table gives its unvectorized build.
 struct ForwardKernelVariant {
-  const char* isa = "";  // "scalar", "sse2", "avx2", "avx512", "neon"
+  const char* isa = "";  // "scalar"
   bool supported = false;
   /// Direct relay→target distances for waypoints [begin, end).
   void (*distances)(const ForwardKernelArgs& args, std::size_t begin,
@@ -138,15 +132,12 @@ struct ForwardKernelVariant {
                      std::size_t end) = nullptr;
 };
 
-/// Every variant compiled into this binary, narrowest first: batched scalar
-/// (vectorization disabled), the baseline ISA, then any runtime-dispatched
-/// widenings the build carries (x86: AVX2+FMA, AVX-512).
+/// The kernels compiled into this binary: one entry, "scalar", always
+/// supported. A list, so that callers reporting kernel ISAs treat the
+/// forward and SAR tables alike.
 const std::vector<ForwardKernelVariant>& forward_kernel_variants();
 
-/// The variant the dispatcher picked: the widest supported one, unless the
-/// RFLY_FORWARD_ISA environment variable names a different supported
-/// variant (a debugging/bench override; unknown or unsupported names are
-/// ignored).
+/// The kernels the measure stage runs: the one entry above.
 const ForwardKernelVariant& forward_kernel_active();
 
 }  // namespace rfly::core

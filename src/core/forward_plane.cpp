@@ -1,12 +1,10 @@
 #include "core/forward_plane.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "channel/channel_batch.h"
 #include "channel/channel_model.h"
 #include "common/constants.h"
-#include "common/digest.h"
 #include "common/units.h"
 #include "obs/metrics.h"
 #include "signal/noise.h"
@@ -17,8 +15,8 @@ namespace {
 
 // Plane telemetry. `channel_evals` is the headline counter the acceptance
 // bench asserts on: per-waypoint channel evaluations charged to the measure
-// stage — one per waypoint per plane *build* (cache hits charge nothing),
-// instead of the scalar path's ~5 per waypoint per tag.
+// stage — one per waypoint per plane build, instead of the scalar path's ~5
+// per waypoint per tag.
 obs::Counter& plane_builds() {
   static obs::Counter& c = obs::counter("measure.plane.builds");
   return c;
@@ -26,66 +24,6 @@ obs::Counter& plane_builds() {
 obs::Counter& plane_channel_evals() {
   static obs::Counter& c = obs::counter("measure.plane.channel_evals");
   return c;
-}
-obs::Counter& plane_cache_hits() {
-  static obs::Counter& c = obs::counter("forward_plane_cache.hits");
-  return c;
-}
-obs::Counter& plane_cache_misses() {
-  static obs::Counter& c = obs::counter("forward_plane_cache.misses");
-  return c;
-}
-obs::Counter& plane_cache_evictions() {
-  static obs::Counter& c = obs::counter("forward_plane_cache.evictions");
-  return c;
-}
-
-/// Everything a plane's contents depend on, flattened to a double blob in a
-/// fixed order: cache keys compare by bit pattern (memcmp), digests are
-/// hints only. Excludes fields that cannot change plane values (tag EPC,
-/// noise/ripple/shadowing stds, thresholds — those act in the collect loop,
-/// which always reads them from the live system).
-std::vector<double> plane_key(const RflySystem& system,
-                              const std::vector<drone::FlownPoint>& flight) {
-  const SystemConfig& cfg = system.config();
-  const auto& obstacles = system.environment().obstacles();
-  std::vector<double> key;
-  key.reserve(20 + obstacles.size() * 7 + flight.size() * 3);
-  const Vec3& reader = system.reader_position();
-  key.push_back(reader.x);
-  key.push_back(reader.y);
-  key.push_back(reader.z);
-  key.push_back(cfg.carrier_hz);
-  key.push_back(cfg.freq_shift_hz);
-  key.push_back(cfg.reader_eirp_dbm);
-  key.push_back(cfg.reader_rx_gain_dbi);
-  key.push_back(cfg.relay_downlink_gain_db);
-  key.push_back(cfg.relay_uplink_gain_db);
-  key.push_back(cfg.relay_downlink_p1db_dbm);
-  key.push_back(cfg.relay_uplink_max_out_dbm);
-  key.push_back(cfg.relay_antenna_gain_dbi);
-  key.push_back(cfg.relay_hardware_phase_rad);
-  key.push_back(cfg.embedded_coupling_db);
-  key.push_back(cfg.tag.rho_on);
-  key.push_back(cfg.tag.rho_off);
-  key.push_back(cfg.tag.antenna_gain_dbi);
-  key.push_back(static_cast<double>(obstacles.size()));
-  for (const auto& ob : obstacles) {
-    key.push_back(ob.footprint.a.x);
-    key.push_back(ob.footprint.a.y);
-    key.push_back(ob.footprint.b.x);
-    key.push_back(ob.footprint.b.y);
-    key.push_back(ob.height_m);
-    key.push_back(ob.material.transmission_loss_db);
-    key.push_back(ob.material.reflection_loss_db);
-  }
-  key.push_back(static_cast<double>(flight.size()));
-  for (const auto& point : flight) {
-    key.push_back(point.actual.x);
-    key.push_back(point.actual.y);
-    key.push_back(point.actual.z);
-  }
-  return key;
 }
 
 }  // namespace
@@ -136,10 +74,8 @@ ForwardPlane ForwardPlane::build(const RflySystem& system,
 
 std::vector<SynthChannels> synthesize_forward_channels(
     const RflySystem& system, const ForwardPlane& plane,
-    const std::vector<Vec3>& tag_positions,
-    const ForwardKernelVariant* variant) {
-  const ForwardKernelVariant& kern =
-      variant != nullptr ? *variant : forward_kernel_active();
+    const std::vector<Vec3>& tag_positions) {
+  const ForwardKernelVariant& kern = forward_kernel_active();
   const SystemConfig& cfg = system.config();
   const std::size_t n = plane.size();
   const std::size_t ntags = tag_positions.size();
@@ -270,83 +206,6 @@ std::vector<SynthChannels> synthesize_forward_channels(
   args.readable_tags = mask_ptrs.data();
   kern.synthesize(args, 0, n);
   return out;
-}
-
-// --- ForwardPlaneCache ----------------------------------------------------
-
-ForwardPlaneCache::ForwardPlaneCache(std::size_t capacity)
-    : capacity_(capacity) {}
-
-std::shared_ptr<const ForwardPlane> ForwardPlaneCache::plane(
-    const RflySystem& system, const std::vector<drone::FlownPoint>& flight) {
-  std::vector<double> key = plane_key(system, flight);
-  const std::uint64_t digest = digest_doubles(
-      digest_word(0x666f'7277'6172'64ull,  // "forward"
-                  key.size()),
-      key.data(), key.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& entry : entries_) {
-    if (entry.digest == digest && entry.key.size() == key.size() &&
-        std::memcmp(entry.key.data(), key.data(),
-                    key.size() * sizeof(double)) == 0) {
-      ++hits_;
-      plane_cache_hits().inc();
-      return entry.value;
-    }
-  }
-  ++misses_;
-  plane_cache_misses().inc();
-  auto built =
-      std::make_shared<const ForwardPlane>(ForwardPlane::build(system, flight));
-  if (capacity_ > 0) {
-    entries_.push_back({digest, std::move(key), built});
-    while (entries_.size() > capacity_) {
-      entries_.erase(entries_.begin());
-      ++evictions_;
-      plane_cache_evictions().inc();
-    }
-  }
-  return built;
-}
-
-ForwardPlaneCache::Stats ForwardPlaneCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.planes = entries_.size();
-  return s;
-}
-
-void ForwardPlaneCache::reset_stats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  hits_ = misses_ = evictions_ = 0;
-}
-
-void ForwardPlaneCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
-
-void ForwardPlaneCache::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity;
-  while (entries_.size() > capacity_) {
-    entries_.erase(entries_.begin());
-    ++evictions_;
-    plane_cache_evictions().inc();
-  }
-}
-
-std::size_t ForwardPlaneCache::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
-ForwardPlaneCache& global_forward_plane_cache() {
-  static ForwardPlaneCache cache;
-  return cache;
 }
 
 }  // namespace rfly::core

@@ -14,21 +14,20 @@
 //     once); pinned by the `measure` parity matrix in
 //     tests/test_measure_plane.cpp.
 //   - fast mode additionally feeds the plane's linear-domain mirrors to the
-//     multiversioned forward kernels (forward_kernel.h), which synthesize
-//     readability masks and target channels for a block of waypoints × tags
-//     in one SIMD pass.
+//     forward kernels (forward_kernel.h), which synthesize readability
+//     masks and target channels for a block of waypoints × tags in one
+//     pass.
 //
-// Planes are shared across every tag in a mission, and — via the
-// digest-keyed ForwardPlaneCache below, same discipline as the localize
-// GeometryCache — across missions in a batch that fly the same flight
-// through the same system. All RNG stays in the per-point collect loop
-// (system.cpp); everything here is RNG-free, so draw order is untouched.
+// A mission builds its plane once and shares it across every tag. Missions
+// never share planes: each flies with fresh tracking noise, so two missions
+// fly the same flight only when they replay the same (scenario, seed), and
+// the service's ResultCache answers those before anything simulates. All
+// RNG stays in the per-point collect loop (system.cpp); everything here is
+// RNG-free, so draw order is untouched.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/math_util.h"
@@ -39,7 +38,7 @@
 namespace rfly::core {
 
 /// SoA per-waypoint forward-channel state for one flight. Immutable after
-/// build; shared read-only across tags, worker threads, and missions.
+/// build; shared read-only across the mission's tags.
 struct ForwardPlane {
   // Actual waypoint positions (kernel lanes; channels are evaluated at the
   // *actual* position — the reported position enters only the measurement
@@ -81,67 +80,10 @@ struct SynthChannels {
 
 /// Fast-path synthesis for every tag against one plane: batched multipath
 /// geometry (channel::batch_link_paths, per-obstacle constants hoisted per
-/// tag), then the active forward kernels for distances, propagation
-/// phasors, and the multi-tag synthesize pass. RNG-free. `variant` forces a
-/// specific kernel variant (tests/benches); null uses the dispatcher's
-/// pick.
+/// tag), then the forward kernels for distances, propagation phasors, and
+/// the multi-tag synthesize pass. RNG-free.
 std::vector<SynthChannels> synthesize_forward_channels(
     const RflySystem& system, const ForwardPlane& plane,
-    const std::vector<Vec3>& tag_positions,
-    const ForwardKernelVariant* variant = nullptr);
-
-/// Process-wide, thread-safe, digest-keyed plane cache — the GeometryCache
-/// pattern: a splitmix64 digest over the full bit-pattern key (reader
-/// position, every config field the plane depends on, obstacle geometry and
-/// materials, actual waypoint positions) selects candidates, every hit is
-/// verified by a bitwise key compare before sharing, FIFO eviction, and
-/// capacity 0 disables retention (every lookup builds cold). Entries are
-/// immutable shared_ptr<const ForwardPlane>, safe to hold across worker
-/// threads. Lookups (including the build on a miss) serialize on one mutex,
-/// exactly like GeometryCache: a digest can never hand out an unverified
-/// plane, and each distinct key misses exactly once per cold run at any
-/// thread count.
-class ForwardPlaneCache {
- public:
-  static constexpr std::size_t kDefaultCapacity = 64;
-
-  explicit ForwardPlaneCache(std::size_t capacity = kDefaultCapacity);
-
-  /// The plane for (system, flight): a verified cached entry, or a fresh
-  /// build (retained FIFO when capacity allows).
-  std::shared_ptr<const ForwardPlane> plane(
-      const RflySystem& system, const std::vector<drone::FlownPoint>& flight);
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t planes = 0;  // entries currently retained
-  };
-  Stats stats() const;
-  void reset_stats();
-  void clear();
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
-
- private:
-  struct Entry {
-    std::uint64_t digest = 0;
-    std::vector<double> key;  // full bit-pattern key, verified on every hit
-    std::shared_ptr<const ForwardPlane> value;
-  };
-
-  mutable std::mutex mu_;
-  std::vector<Entry> entries_;  // insertion order = eviction order (FIFO)
-  std::size_t capacity_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-};
-
-/// The process-wide cache the pipeline's measure stage uses (mirrors
-/// global_geometry_cache); the batch runner applies its retention bound to
-/// this cache too and reports hit/miss deltas in BatchRunInfo.
-ForwardPlaneCache& global_forward_plane_cache();
+    const std::vector<Vec3>& tag_positions);
 
 }  // namespace rfly::core

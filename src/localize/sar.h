@@ -74,19 +74,18 @@ Heatmap sar_heatmap(const DisentangledSet& set, const GridSpec& grid, double fre
                     double z_plane = 0.0, unsigned threads = 0,
                     SarKernel kernel = SarKernel::kExact);
 
-/// Trajectory positions as shared SoA arrays — the cacheable half of
-/// SarGeometry (channel weights are per tag and per mission; positions
-/// repeat whenever the same flight serves many tags or many identical
-/// missions). Built once per distinct trajectory by the GeometryCache and
-/// shared read-only across a batch.
+/// Trajectory positions as shared SoA arrays — the shareable half of
+/// SarGeometry (channel weights are per tag; positions repeat whenever the
+/// same flight serves many tags). The batch runner builds one per plane
+/// group and shares it read-only across the group's multi-tag sweep.
 struct SharedTrajectory {
   std::vector<double> px, py, pz;
   std::size_t size() const { return px.size(); }
   static SharedTrajectory from(const std::vector<channel::Vec3>& positions);
 };
 
-/// A grid with its cell coordinates hoisted once — the other cacheable
-/// buffer (sar_heatmap rebuilds xs/ys per call; a batch reuses one copy).
+/// A grid with its cell coordinates hoisted once — the other shareable
+/// buffer (sar_heatmap rebuilds xs/ys per call; a plane group builds one).
 /// xs/ys hold the identical x_min + i*res values sar_heatmap computes, so
 /// sharing them is bit-invisible.
 struct SharedGrid {

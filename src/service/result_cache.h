@@ -6,8 +6,8 @@
 // identical later SUBMIT is served those exact bytes (bit-identical by
 // construction, including the original run's stage timings).
 //
-// Keys follow the GeometryCache discipline: the splitmix64 digest is a
-// *hint*, and every hit is verified against the full (text, seed) pair
+// The splitmix64 digest of the key is a *hint*: every hit is verified
+// against the full (text, seed) pair
 // before bytes are shared — a collision can cost a miss, never a wrong
 // result. Eviction is FIFO by insertion order, deterministic for a given
 // request sequence; capacity 0 disables retention entirely.

@@ -484,10 +484,7 @@ void MissionService::worker_loop() {
     const double start = now_seconds();
     sim::BatchRunInfo info;
     auto results = sim::run_batch(
-        {batch_job},
-        {config_.job_threads, sim::BatchMode::kBatched,
-         localize::GeometryCache::kDefaultCapacity},
-        &info);
+        {batch_job}, {config_.job_threads, sim::BatchMode::kBatched}, &info);
     WireWriter w;
     encode_batch_result(w, results.front());
     std::string bytes = w.take();

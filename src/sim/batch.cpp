@@ -11,7 +11,7 @@
 #include "common/arena.h"
 #include "common/digest.h"
 #include "common/thread_pool.h"
-#include "core/forward_plane.h"
+#include "localize/sar.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/fleet.h"
@@ -92,6 +92,17 @@ std::uint64_t digest_grid_spec(std::uint64_t state,
   return digest_double(state, grid.resolution_m);
 }
 
+std::uint64_t digest_positions(std::uint64_t state,
+                               const std::vector<channel::Vec3>& positions) {
+  state = digest_word(state, positions.size());
+  for (const auto& p : positions) {
+    state = digest_double(state, p.x);
+    state = digest_double(state, p.y);
+    state = digest_double(state, p.z);
+  }
+  return state;
+}
+
 /// Content digest of one deferred localize task: full config plus the
 /// half-link set's bit patterns. A hint for the dedup registry — matches
 /// are verified with configs_eq/sets_eq before tasks share an entry.
@@ -109,12 +120,7 @@ std::uint64_t task_digest(const DeferredLocalize& task) {
   state = digest_word(state, c.threads);
   state = digest_word(state, static_cast<std::uint64_t>(c.kernel));
   state = digest_word(state, static_cast<std::uint64_t>(c.search));
-  state = digest_word(state, task.half_link.positions.size());
-  for (const auto& p : task.half_link.positions) {
-    state = digest_double(state, p.x);
-    state = digest_double(state, p.y);
-    state = digest_double(state, p.z);
-  }
+  state = digest_positions(state, task.half_link.positions);
   for (const auto& h : task.half_link.channels) {
     state = digest_double(state, h.real());
     state = digest_double(state, h.imag());
@@ -207,8 +213,7 @@ struct PlaneGroup {
 std::uint64_t plane_digest(const TaskEntry& entry,
                            const localize::GridSpec& scan_grid) {
   std::uint64_t state = digest_word(0x706c'616e'6567'7270ull, 0);  // "planegrp"
-  state = digest_word(
-      state, localize::GeometryCache::digest_waypoints(entry.set.positions));
+  state = digest_positions(state, entry.set.positions);
   state = digest_grid_spec(state, scan_grid);
   state = digest_double(state, entry.config.freq_hz);
   state = digest_double(state, entry.config.z_plane_m);
@@ -234,8 +239,8 @@ bool planes_eq(const TaskEntry& a, const TaskEntry& b) {
 /// sweeps over arena planes for the plane-eligible ones, the ordinary
 /// localize_2d_from path for degenerate ones — then write results back to
 /// every owner. Coordinator-serial except the sweeps/completions, which
-/// parallelize internally; every cache/arena access happens on this thread,
-/// so cache stats and eviction order are thread-count-invariant.
+/// parallelize internally; every arena access happens on this thread, so the
+/// arena's high-water mark is thread-count-invariant.
 void run_deferred_plane(std::deque<TaskEntry>& entries,
                         std::vector<BatchResult>& results,
                         const BatchConfig& config, BatchRunInfo* info) {
@@ -243,8 +248,8 @@ void run_deferred_plane(std::deque<TaskEntry>& entries,
 
   // Deterministic entry order: each entry is keyed by its first owner in
   // (job, item) order — content-determined, however threads raced during
-  // registration. Everything downstream (grouping, cache lookups, eviction,
-  // write-back) follows this order.
+  // registration. Everything downstream (grouping, sweeps, write-back)
+  // follows this order.
   for (auto& entry : entries) {
     std::sort(entry.owners.begin(), entry.owners.end(),
               [](const TaskOwner& a, const TaskOwner& b) {
@@ -292,14 +297,13 @@ void run_deferred_plane(std::deque<TaskEntry>& entries,
   }
   if (info) info->plane_groups = groups.size();
 
-  localize::GeometryCache& cache = localize::global_geometry_cache();
   Arena arena;
   for (const PlaneGroup& group : groups) {
     const TaskEntry& rep = entries[group.members.front()];
     const localize::GridSpec scan_grid = localize::localize_scan_grid(rep.config);
-    const auto trajectory = cache.trajectory(rep.set.positions);
-    const auto shared_grid = cache.grid(scan_grid);
-    const std::size_t L = trajectory->size();
+    const auto trajectory = localize::SharedTrajectory::from(rep.set.positions);
+    const auto shared_grid = localize::SharedGrid::from(scan_grid);
+    const std::size_t L = trajectory.size();
     const std::size_t cells = scan_grid.nx() * scan_grid.ny();
     const std::size_t count = group.members.size();
 
@@ -318,7 +322,7 @@ void run_deferred_plane(std::deque<TaskEntry>& entries,
     }
 
     const auto sweep_start = Clock::now();
-    sar_heatmap_multi(*trajectory, *shared_grid, rep.config.freq_hz,
+    sar_heatmap_multi(trajectory, shared_grid, rep.config.freq_hz,
                       rep.config.z_plane_m, slots.data(), count,
                       clamp_thread_count(rep.config.threads), rep.config.kernel);
     const double sweep_share = seconds_since(sweep_start) / static_cast<double>(count);
@@ -381,18 +385,6 @@ std::vector<BatchResult> run_batch(const std::vector<BatchJob>& jobs,
   obs::Span batch_span("batch.run");
   const auto batch_start = Clock::now();
   const bool batched = config.mode == BatchMode::kBatched;
-
-  localize::GeometryCache& cache = localize::global_geometry_cache();
-  localize::GeometryCache::Stats cache_before;
-  if (batched) {
-    cache.set_capacity(config.cache_capacity);
-    cache_before = cache.stats();
-  }
-  // The measure plane cache serves the pipeline in both modes; the batched
-  // mode additionally applies this run's retention bound to it.
-  core::ForwardPlaneCache& forward_cache = core::global_forward_plane_cache();
-  if (batched) forward_cache.set_capacity(config.cache_capacity);
-  const core::ForwardPlaneCache::Stats forward_before = forward_cache.stats();
 
   // --- Phase 0 (serial): hoist scenario parsing. Each distinct scenario
   // text is validated and materialized once; seed sweeps and repeated-job
@@ -491,14 +483,6 @@ std::vector<BatchResult> run_batch(const std::vector<BatchJob>& jobs,
   if (info) {
     info->deferred_tasks = registry.deferred_total();
     info->distinct_tasks = registry.entries().size();
-    if (batched) {
-      const auto cache_after = cache.stats();
-      info->cache_hits = cache_after.hits - cache_before.hits;
-      info->cache_misses = cache_after.misses - cache_before.misses;
-    }
-    const auto forward_after = forward_cache.stats();
-    info->forward_plane_hits = forward_after.hits - forward_before.hits;
-    info->forward_plane_misses = forward_after.misses - forward_before.misses;
     info->wall_seconds = seconds_since(batch_start);
   }
   return results;
@@ -552,8 +536,6 @@ BatchSummary summarize(const std::vector<BatchResult>& results,
     summary.missions_per_second =
         static_cast<double>(summary.jobs) / info.wall_seconds;
   }
-  summary.cache_hits = info.cache_hits;
-  summary.cache_misses = info.cache_misses;
   summary.arena_high_water_bytes = info.arena_high_water_bytes;
   return summary;
 }

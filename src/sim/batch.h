@@ -16,16 +16,14 @@
 //     stages; the runner dedups identical (measurement set, config) tasks,
 //     groups tasks that share a trajectory/grid/frequency plane, and sweeps
 //     each group's SAR heatmaps in one blocked multi-tag pass over
-//     arena-backed planes, with trajectory/grid buffers served from the
-//     digest-keyed GeometryCache. Behaviorally invisible: every BatchResult
-//     is bit-identical to the per-mission mode at any thread count,
-//     warm or cold cache (pinned by tests/test_batch_parity.cpp).
+//     arena-backed planes. Nothing a run builds outlives it. Behaviorally
+//     invisible: every BatchResult is bit-identical to the per-mission mode
+//     at any thread count (pinned by tests/test_batch_parity.cpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "localize/geometry_cache.h"
 #include "sim/pipeline.h"
 #include "sim/scenario.h"
 
@@ -49,7 +47,7 @@ struct BatchResult {
 
 enum class BatchMode : std::uint8_t {
   kPerMission,  // independent pipelines, no cross-mission sharing
-  kBatched,     // shared measurement plane + geometry cache + arena
+  kBatched,     // deferred localize: task dedup + shared SAR planes + arena
 };
 
 /// Stable lower-case token ("per-mission" / "batched"), used by --batch.
@@ -61,9 +59,6 @@ struct BatchConfig {
   /// (First member — callers aggregate-initialize as BatchConfig{threads}.)
   unsigned threads = 0;
   BatchMode mode = BatchMode::kBatched;
-  /// Retention bound applied to the process-wide GeometryCache for this
-  /// run (entries per buffer kind). 0 disables retention entirely.
-  std::size_t cache_capacity = localize::GeometryCache::kDefaultCapacity;
 };
 
 /// Instrumentation from one batch run — the sharing the batched mode found
@@ -71,15 +66,6 @@ struct BatchConfig {
 /// results.
 struct BatchRunInfo {
   double wall_seconds = 0.0;
-  /// GeometryCache hit/miss deltas over this run (zero in kPerMission).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  /// ForwardPlaneCache hit/miss deltas over this run. Unlike the geometry
-  /// figures these are populated in BOTH modes: the pipeline's measure
-  /// stage consults the plane cache per mission too (the batched mode only
-  /// adds the retention bound and the cross-mission sharing).
-  std::uint64_t forward_plane_hits = 0;
-  std::uint64_t forward_plane_misses = 0;
   /// Peak bytes the shared measurement plane's arena held at once.
   std::size_t arena_high_water_bytes = 0;
   std::size_t scenario_groups = 0;  // distinct scenario texts (validated once each)
@@ -131,8 +117,6 @@ struct BatchSummary {
   /// Batch throughput and sharing figures — populated by the BatchRunInfo
   /// overload, zero otherwise.
   double missions_per_second = 0.0;  // jobs / batch wall clock
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::size_t arena_high_water_bytes = 0;
 };
 

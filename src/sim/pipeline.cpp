@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
+#include <optional>
 
 #include "core/forward_plane.h"
 #include "drone/trajectory.h"
@@ -230,18 +230,17 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
   }
 
   // --- measure plane: hoist the per-waypoint forward-channel state once
-  // per flight — shared across every tag below, and across missions flying
-  // the same flight through the same system via the global plane cache.
-  // Entirely RNG-free, so the mission Rng sequence (and with it the report)
-  // is untouched; `off` skips the hoist and keeps the seed's scalar loop.
+  // per flight, shared across every tag below. Entirely RNG-free, so the
+  // mission Rng sequence (and with it the report) is untouched; `off` skips
+  // the hoist and keeps the seed's scalar loop.
   const core::MeasurePlane plane_mode =
       core::resolve_measure_plane(config.measure_plane);
-  std::shared_ptr<const core::ForwardPlane> plane;
+  std::optional<core::ForwardPlane> plane;
   std::vector<core::SynthChannels> synth;
   if (plane_mode != core::MeasurePlane::kOff && !flight.empty() &&
       !tags.empty()) {
     StageTimer timer(run.trace, Stage::kMeasure);
-    plane = core::global_forward_plane_cache().plane(system, flight);
+    plane = core::ForwardPlane::build(system, flight);
     if (plane_mode == core::MeasurePlane::kFast) {
       std::vector<Vec3> positions;
       positions.reserve(tags.size());

@@ -3,9 +3,6 @@
 //
 //   - Arena: reset() is pristine (same addresses as a fresh arena), the
 //     high-water gauge survives reset/release, alignment holds.
-//   - GeometryCache: digest hits are verified bitwise, FIFO eviction is
-//     deterministic, capacity 0 disables retention, and the shared cache
-//     survives a concurrent hammer (the TSAN surface).
 //   - rows_multi: every compiled ISA variant's blocked multi-tag sweep is
 //     bit-identical to per-tag `rows` calls, including ragged tails.
 //   - sar_heatmap_multi: the public multi-tag sweep matches per-tag
@@ -13,23 +10,22 @@
 //   - localize_2d_with_plane: handing the localizer a precomputed scan
 //     plane reproduces localize_2d_from bitwise for all three searches.
 //   - run_batch: the full matrix — batched vs per-mission, thread counts,
-//     kernels, searches, faults on/off, duplicate jobs, cold vs warm vs
-//     disabled cache — every cell bit-identical, every error context equal.
+//     kernels, searches, faults on/off, duplicate jobs — every cell
+//     bit-identical, every error context equal; and no state survives a
+//     call (A, then an unrelated B, then A again reproduces A exactly).
 //
 // Runs under the `batch` label: include it in the TSAN tree (coordinator /
-// worker handoff, cache mutex) and the ASan+UBSan tree (arena pointer
+// worker handoff) and the ASan+UBSan tree (arena pointer
 // arithmetic, multi-tag tail handling).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/rng.h"
 #include "drone/trajectory.h"
-#include "localize/geometry_cache.h"
 #include "localize/localizer.h"
 #include "localize/sar.h"
 #include "localize/sar_kernel.h"
@@ -91,181 +87,6 @@ TEST(Arena, AlignmentAndOversizedRequestsHold) {
   big[0] = 1.0;
   big[4095] = 2.0;  // the whole extent is writable (ASan checks this)
   EXPECT_EQ(big[0] + big[4095], 3.0);
-}
-
-// --- GeometryCache -------------------------------------------------------
-
-std::vector<channel::Vec3> jittered_positions(std::uint64_t seed, std::size_t n) {
-  Rng rng(seed);
-  std::vector<channel::Vec3> out;
-  const auto traj = drone::linear_trajectory({0.0, 2.0, 1.0}, {3.0, 2.0, 1.0}, n);
-  for (const auto& p : traj) {
-    out.push_back({p.x + rng.gaussian(0.0, 0.01), p.y + rng.gaussian(0.0, 0.01),
-                   p.z + rng.gaussian(0.0, 0.005)});
-  }
-  return out;
-}
-
-void expect_trajectory_matches(const localize::SharedTrajectory& shared,
-                               const std::vector<channel::Vec3>& positions) {
-  ASSERT_EQ(shared.size(), positions.size());
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    EXPECT_EQ(shared.px[i], positions[i].x) << i;
-    EXPECT_EQ(shared.py[i], positions[i].y) << i;
-    EXPECT_EQ(shared.pz[i], positions[i].z) << i;
-  }
-}
-
-TEST(GeometryCache, HitsAreVerifiedAndShared) {
-  localize::GeometryCache cache(4);
-  const auto a = jittered_positions(1, 20);
-  const auto b = jittered_positions(2, 20);
-
-  const auto first = cache.trajectory(a);
-  const auto again = cache.trajectory(a);
-  EXPECT_EQ(first.get(), again.get());  // same shared buffer, not a copy
-  expect_trajectory_matches(*again, a);
-
-  const auto other = cache.trajectory(b);
-  EXPECT_NE(other.get(), first.get());
-  expect_trajectory_matches(*other, b);
-
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.trajectories, 2u);
-}
-
-TEST(GeometryCache, GridEntriesMatchFreshBuilds) {
-  localize::GeometryCache cache(4);
-  const localize::GridSpec spec{-1.0, 2.0, -0.5, 1.5, 0.04};
-  const auto cached = cache.grid(spec);
-  const auto fresh = localize::SharedGrid::from(spec);
-  ASSERT_EQ(cached->xs.size(), fresh.xs.size());
-  ASSERT_EQ(cached->ys.size(), fresh.ys.size());
-  for (std::size_t i = 0; i < fresh.xs.size(); ++i)
-    EXPECT_EQ(cached->xs[i], fresh.xs[i]) << i;
-  for (std::size_t i = 0; i < fresh.ys.size(); ++i)
-    EXPECT_EQ(cached->ys[i], fresh.ys[i]) << i;
-  EXPECT_EQ(cache.grid(spec).get(), cached.get());
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(GeometryCache, CapacityZeroDisablesRetention) {
-  localize::GeometryCache cache(0);
-  const auto a = jittered_positions(3, 10);
-  const auto first = cache.trajectory(a);
-  const auto again = cache.trajectory(a);
-  // Every lookup builds fresh and counts as a miss — but both are correct.
-  EXPECT_NE(first.get(), again.get());
-  expect_trajectory_matches(*first, a);
-  expect_trajectory_matches(*again, a);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.trajectories, 0u);
-}
-
-TEST(GeometryCache, FifoEvictionIsDeterministic) {
-  localize::GeometryCache cache(1);
-  const auto a = jittered_positions(4, 10);
-  const auto b = jittered_positions(5, 10);
-
-  cache.trajectory(a);          // retained
-  cache.trajectory(b);          // evicts a (FIFO, capacity 1)
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().trajectories, 1u);
-
-  const auto evicted = cache.trajectory(a);  // miss again, rebuilt
-  expect_trajectory_matches(*evicted, a);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 3u);
-  EXPECT_EQ(s.evictions, 2u);
-}
-
-TEST(GeometryCache, ClearForcesColdButKeepsCounting) {
-  localize::GeometryCache cache(4);
-  const auto a = jittered_positions(6, 10);
-  cache.trajectory(a);
-  cache.trajectory(a);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  cache.clear();
-  EXPECT_EQ(cache.stats().trajectories, 0u);
-  const auto cold = cache.trajectory(a);
-  expect_trajectory_matches(*cold, a);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().hits, 1u);  // stats survived the clear
-}
-
-TEST(GeometryCache, ShrinkingCapacityEvictsOldestFirst) {
-  localize::GeometryCache cache(4);
-  const auto a = jittered_positions(7, 8);
-  const auto b = jittered_positions(8, 8);
-  const auto c = jittered_positions(9, 8);
-  cache.trajectory(a);
-  cache.trajectory(b);
-  cache.trajectory(c);
-  cache.set_capacity(1);
-  EXPECT_EQ(cache.capacity(), 1u);
-  EXPECT_EQ(cache.stats().trajectories, 1u);
-  // The survivor is the newest insertion: c hits, a and b are gone.
-  cache.trajectory(c);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  cache.trajectory(a);
-  EXPECT_EQ(cache.stats().misses, 4u);
-}
-
-TEST(GeometryCache, ConcurrentHammerStaysCorrect) {
-  // Many threads racing lookups over few keys with eviction churn: the
-  // mutex must keep the shelves coherent (TSAN verifies the locking), and
-  // every buffer handed out must match a fresh build bitwise even when its
-  // entry has since been evicted (shared_ptr keeps it alive).
-  localize::GeometryCache cache(2);
-  std::vector<std::vector<channel::Vec3>> keys;
-  for (std::uint64_t k = 0; k < 4; ++k) keys.push_back(jittered_positions(10 + k, 12));
-  const localize::GridSpec specs[3] = {{0.0, 1.0, 0.0, 1.0, 0.1},
-                                       {0.0, 2.0, 0.0, 1.0, 0.1},
-                                       {0.0, 1.0, 0.0, 2.0, 0.05}};
-
-  std::vector<std::thread> workers;
-  std::vector<int> failures(8, 0);
-  for (int t = 0; t < 8; ++t) {
-    workers.emplace_back([&, t] {
-      for (int i = 0; i < 100; ++i) {
-        const auto& key = keys[static_cast<std::size_t>((t + i) % 4)];
-        const auto traj = cache.trajectory(key);
-        for (std::size_t j = 0; j < key.size(); ++j) {
-          if (traj->px[j] != key[j].x || traj->py[j] != key[j].y ||
-              traj->pz[j] != key[j].z) {
-            ++failures[static_cast<std::size_t>(t)];
-          }
-        }
-        const auto& spec = specs[(t + i) % 3];
-        const auto grid = cache.grid(spec);
-        if (grid->xs.size() != spec.nx() || grid->ys.size() != spec.ny()) {
-          ++failures[static_cast<std::size_t>(t)];
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  for (int t = 0; t < 8; ++t) EXPECT_EQ(failures[static_cast<std::size_t>(t)], 0) << t;
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses, 8u * 100u * 2u);
-}
-
-TEST(GeometryCache, DigestsSeparateNearbyInputs) {
-  auto a = jittered_positions(20, 10);
-  auto b = a;
-  b[5].z = std::nextafter(b[5].z, 1e9);  // one ulp in one coordinate
-  EXPECT_NE(localize::GeometryCache::digest_waypoints(a),
-            localize::GeometryCache::digest_waypoints(b));
-  const localize::GridSpec g1{0.0, 1.0, 0.0, 1.0, 0.1};
-  localize::GridSpec g2 = g1;
-  g2.resolution_m = std::nextafter(g2.resolution_m, 1.0);
-  EXPECT_NE(localize::GeometryCache::digest_grid(g1),
-            localize::GeometryCache::digest_grid(g2));
 }
 
 // --- Multi-tag kernel sweeps ---------------------------------------------
@@ -504,6 +325,15 @@ void expect_results_identical(const std::vector<BatchResult>& a,
   }
 }
 
+/// Every BatchRunInfo figure but the wall clock.
+void expect_infos_equal(const BatchRunInfo& a, const BatchRunInfo& b) {
+  EXPECT_EQ(a.arena_high_water_bytes, b.arena_high_water_bytes);
+  EXPECT_EQ(a.scenario_groups, b.scenario_groups);
+  EXPECT_EQ(a.plane_groups, b.plane_groups);
+  EXPECT_EQ(a.deferred_tasks, b.deferred_tasks);
+  EXPECT_EQ(a.distinct_tasks, b.distinct_tasks);
+}
+
 /// The matrix scenario: the building preset with a coarser grid so the
 /// 24-cell sweep stays fast. Parity is resolution-independent.
 Scenario matrix_scenario() {
@@ -538,7 +368,6 @@ TEST_P(BatchedVsPerMission, BitIdenticalAcrossTheMatrix) {
   if (c.faults) scenario.faults.dropout = 0.2;
   const auto jobs = matrix_jobs(scenario);
 
-  localize::global_geometry_cache().clear();
   const auto batched = run_batch(jobs, {c.threads, BatchMode::kBatched});
   const auto reference = run_batch(jobs, {c.threads, BatchMode::kPerMission});
   expect_results_identical(batched, reference);
@@ -574,10 +403,8 @@ TEST(BatchParity, DedupFindsDuplicateJobsAndThreadCountIsInvisible) {
   const Scenario scenario = matrix_scenario();
   std::vector<BatchJob> jobs(6, {scenario, 21});  // six identical missions
 
-  localize::global_geometry_cache().clear();
   BatchRunInfo serial_info;
   const auto serial = run_batch(jobs, {1, BatchMode::kBatched}, &serial_info);
-  localize::global_geometry_cache().clear();
   BatchRunInfo threaded_info;
   const auto threaded = run_batch(jobs, {8, BatchMode::kBatched}, &threaded_info);
 
@@ -589,13 +416,7 @@ TEST(BatchParity, DedupFindsDuplicateJobsAndThreadCountIsInvisible) {
   EXPECT_EQ(serial_info.deferred_tasks, 6u * serial_info.distinct_tasks);
   // The sharing discovered is content-determined, so the instrumentation is
   // thread-count-invariant too (all but wall_seconds).
-  EXPECT_EQ(serial_info.scenario_groups, threaded_info.scenario_groups);
-  EXPECT_EQ(serial_info.plane_groups, threaded_info.plane_groups);
-  EXPECT_EQ(serial_info.deferred_tasks, threaded_info.deferred_tasks);
-  EXPECT_EQ(serial_info.distinct_tasks, threaded_info.distinct_tasks);
-  EXPECT_EQ(serial_info.cache_misses, threaded_info.cache_misses);
-  EXPECT_EQ(serial_info.cache_hits, threaded_info.cache_hits);
-  EXPECT_EQ(serial_info.arena_high_water_bytes, threaded_info.arena_high_water_bytes);
+  expect_infos_equal(serial_info, threaded_info);
 
   // And the deduped results are the lone-mission ground truth.
   const auto solo = run_scenario(scenario, 21);
@@ -606,45 +427,24 @@ TEST(BatchParity, DedupFindsDuplicateJobsAndThreadCountIsInvisible) {
   }
 }
 
-TEST(BatchParity, ColdWarmAndDisabledCachesAgreeBitwise) {
+TEST(BatchParity, RunsCarryNoStateBetweenCalls) {
+  // A, then an unrelated B, then A again: nothing a batch run builds may
+  // outlive it, so the second A reproduces the first bit for bit, and so
+  // does every instrumentation figure but the wall clock.
   const Scenario scenario = matrix_scenario();
-  const std::vector<BatchJob> jobs(3, {scenario, 31});
+  const std::vector<BatchJob> a(3, {scenario, 31});
+  const std::vector<BatchJob> b = matrix_jobs(scenario);
   const unsigned threads = 2;
 
-  auto& cache = localize::global_geometry_cache();
+  BatchRunInfo first_info;
+  const auto first = run_batch(a, {threads, BatchMode::kBatched}, &first_info);
+  BatchRunInfo b_info;
+  run_batch(b, {threads, BatchMode::kBatched}, &b_info);
+  BatchRunInfo again_info;
+  const auto again = run_batch(a, {threads, BatchMode::kBatched}, &again_info);
 
-  cache.clear();
-  BatchRunInfo cold_info;
-  const auto cold = run_batch(jobs, {threads, BatchMode::kBatched}, &cold_info);
-  EXPECT_GT(cold_info.cache_misses, 0u);
-
-  BatchRunInfo warm_info;
-  const auto warm = run_batch(jobs, {threads, BatchMode::kBatched}, &warm_info);
-  EXPECT_EQ(warm_info.cache_misses, 0u);
-  EXPECT_GT(warm_info.cache_hits, 0u);
-
-  cache.clear();
-  BatchRunInfo disabled_info;
-  const auto disabled =
-      run_batch(jobs, {threads, BatchMode::kBatched, 0}, &disabled_info);
-  EXPECT_EQ(disabled_info.cache_hits, 0u);
-
-  // Cache state is invisible in the output: cold, warm, and disabled runs
-  // are bit-identical.
-  expect_results_identical(cold, warm);
-  expect_results_identical(cold, disabled);
-
-  // Re-running the cold sequence reproduces the same stats delta — the
-  // cache's behavior is a pure function of the lookup sequence.
-  cache.clear();
-  BatchRunInfo cold2_info;
-  const auto cold2 = run_batch(jobs, {threads, BatchMode::kBatched}, &cold2_info);
-  expect_results_identical(cold, cold2);
-  EXPECT_EQ(cold2_info.cache_misses, cold_info.cache_misses);
-  EXPECT_EQ(cold2_info.cache_hits, cold_info.cache_hits);
-
-  // Restore the default retention bound for whatever runs next.
-  cache.set_capacity(localize::GeometryCache::kDefaultCapacity);
+  expect_results_identical(first, again);
+  expect_infos_equal(first_info, again_info);
 }
 
 TEST(BatchParity, FailedJobContextsMatchPerMissionExactly) {
@@ -679,7 +479,6 @@ TEST(BatchParity, SeedSweepHonorsBothModes) {
   const auto summary = summarize(batched, info);
   EXPECT_EQ(summary.jobs, 3u);
   EXPECT_GT(summary.missions_per_second, 0.0);
-  EXPECT_EQ(summary.cache_hits, info.cache_hits);
   EXPECT_EQ(summary.arena_high_water_bytes, info.arena_high_water_bytes);
 }
 

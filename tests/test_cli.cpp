@@ -86,6 +86,26 @@ TEST(CliOptions, SearchFlagRejectsUnknownModeAndMissingValue) {
   EXPECT_FALSE(opts2.parse(2, argv2));
 }
 
+// --seed is recorded like --kernel: explicit whatever its value, so the
+// benches that fall back to a scenario's own seed honor `--seed 1` instead
+// of reading it as "no --seed given".
+TEST(CliOptions, SeedFlagIsExplicitEvenWhenItIsOne) {
+  char prog[] = "bench";
+  char* bare[] = {prog};
+  CliOptions defaults;
+  ASSERT_TRUE(defaults.parse(1, bare));
+  EXPECT_EQ(defaults.seed, 1u);
+  EXPECT_FALSE(defaults.seed_explicit);
+
+  char flag[] = "--seed";
+  char one[] = "1";
+  char* argv[] = {prog, flag, one};
+  CliOptions opts;
+  ASSERT_TRUE(opts.parse(3, argv));
+  EXPECT_EQ(opts.seed, 1u);
+  EXPECT_TRUE(opts.seed_explicit);
+}
+
 TEST(Metrics, WriteCheckedReportsTypedIoError) {
   Metrics metrics;
   metrics.add("jobs", 3.0);

@@ -8,28 +8,25 @@
 //     (no shadowing; 2 ripple + 4 noise gaussians per surviving point, in
 //     flight order; skipped points draw nothing; gated by the ripple stds
 //     and the estimate sigma) reconstructed draw by draw from a fresh Rng.
-//   - Forward kernels: every compiled ISA variant agrees on readability
-//     masks and synthesized channels; fast synthesis tracks the exact
-//     channels to tight relative tolerance with identical readable sets.
-//   - ForwardPlaneCache: verified hits, FIFO eviction, capacity 0,
-//     config-sensitive keys, deterministic stats, a concurrent hammer (the
-//     TSAN surface), and the measure.plane.channel_evals counter contract
-//     (one eval per waypoint per build, none on a hit).
+//   - Forward kernels: the one scalar build is listed and active; fast
+//     synthesis tracks the exact channels to tight relative tolerance with
+//     identical readable sets.
 //   - Scenario knob `measure.plane`: names, parse, auto resolution,
 //     serialize/parse round-trip, override.
 //   - The full-mission parity matrix: measure.plane=exact reports are
 //     bit-identical to measure.plane=off across {threads 1/2/8} x
-//     {batched, per-mission} x {faults on/off}; the batch runner's forward
-//     plane cache stats warm deterministically.
+//     {batched, per-mission} x {faults on/off}.
+//   - The plane's cost contract: each build charges one channel eval per
+//     waypoint, and every single-relay mission builds exactly one plane.
 //
-// Run it in the TSAN tree (shared immutable planes, cache mutex) and the
-// ASan+UBSan tree (kernel pointer arithmetic, SoA tails, per-tag tables).
+// Run it in the TSAN tree (concurrent missions under the batch runner) and
+// the ASan+UBSan tree (kernel pointer arithmetic, SoA tails, per-tag
+// tables).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "channel/environment.h"
@@ -41,7 +38,6 @@
 #include "core/system.h"
 #include "drone/flight.h"
 #include "drone/trajectory.h"
-#include "localize/geometry_cache.h"
 #include "localize/measurement.h"
 #include "obs/metrics.h"
 #include "sim/batch.h"
@@ -242,7 +238,7 @@ TEST(DrawOrder, AllGatesClosedDrawsNothing) {
   expect_draw_count(config, 0);
 }
 
-// --- Forward kernels: fast synthesis and per-ISA agreement ---------------
+// --- Forward kernels ----------------------------------------------------
 
 /// Noise- and ripple-free config: channel comparisons below are then pure
 /// synthesis, no stochastic term to swamp the tolerance.
@@ -293,164 +289,13 @@ TEST(FastPlane, MatchesExactWithIdenticalReadableSets) {
 
 TEST(ForwardKernels, VariantListIsSaneAndDispatchPicksSupported) {
   const auto& variants = core::forward_kernel_variants();
-  ASSERT_GE(variants.size(), 2u);  // batched scalar + baseline, minimum
+  ASSERT_EQ(variants.size(), 1u);  // the one scalar build
   EXPECT_STREQ(variants[0].isa, "scalar");
   EXPECT_TRUE(variants[0].supported);
-  EXPECT_TRUE(variants[1].supported);
-  for (const auto& v : variants) {
-    EXPECT_NE(v.distances, nullptr) << v.isa;
-    EXPECT_NE(v.phasors, nullptr) << v.isa;
-    EXPECT_NE(v.synthesize, nullptr) << v.isa;
-  }
-  EXPECT_TRUE(core::forward_kernel_active().supported);
-}
-
-TEST(ForwardKernels, EveryVariantAgreesOnMasksAndChannels) {
-  const auto f = make_fixture(8, quiet_config());
-  const auto plane = core::ForwardPlane::build(f.system, f.flight);
-  const auto& variants = core::forward_kernel_variants();
-  const auto reference =
-      core::synthesize_forward_channels(f.system, plane, f.tags, &variants[0]);
-
-  for (const auto& v : variants) {
-    if (!v.supported) continue;
-    const auto got = core::synthesize_forward_channels(f.system, plane, f.tags, &v);
-    ASSERT_EQ(got.size(), reference.size()) << v.isa;
-    for (std::size_t t = 0; t < got.size(); ++t) {
-      ASSERT_EQ(got[t].readable, reference[t].readable) << v.isa << " tag " << t;
-      for (std::size_t i = 0; i < plane.size(); ++i) {
-        expect_channels_close(
-            cdouble{got[t].target_re[i], got[t].target_im[i]},
-            cdouble{reference[t].target_re[i], reference[t].target_im[i]});
-      }
-    }
-  }
-}
-
-// --- ForwardPlaneCache ---------------------------------------------------
-
-TEST(ForwardPlaneCache, HitsAreVerifiedAndShared) {
-  const auto fa = make_fixture(10);
-  const auto fb = make_fixture(11);
-  core::ForwardPlaneCache cache(4);
-
-  const auto first = cache.plane(fa.system, fa.flight);
-  const auto again = cache.plane(fa.system, fa.flight);
-  EXPECT_EQ(first.get(), again.get());  // shared, not rebuilt
-
-  const auto other = cache.plane(fb.system, fb.flight);
-  EXPECT_NE(other.get(), first.get());
-
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.planes, 2u);
-
-  // The shared plane is a fresh build, bit for bit.
-  const auto fresh = core::ForwardPlane::build(fa.system, fa.flight);
-  ASSERT_EQ(first->size(), fresh.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(first->h1[i], fresh.h1[i]) << i;
-    EXPECT_EQ(first->relay_tx_dbm[i], fresh.relay_tx_dbm[i]) << i;
-    EXPECT_EQ(first->embedded[i], fresh.embedded[i]) << i;
-  }
-}
-
-TEST(ForwardPlaneCache, KeyCoversSystemConfig) {
-  // Same flight, one changed config field the plane depends on: must miss
-  // and produce different hoists.
-  const auto f = make_fixture(12);
-  // Raise the downlink P1dB cap: the default link runs the amplifier deep
-  // into saturation, so the relay TX power sits at the cap and provably
-  // moves with it (a small-signal gain tweak would be invisible here).
-  core::SystemConfig tweaked;
-  tweaked.relay_downlink_p1db_dbm += 3.0;
-  core::RflySystem other(tweaked, channel::warehouse_environment(12.0, 10.0, 1),
-                         {1.0, 1.0, 1.0});
-  core::ForwardPlaneCache cache(4);
-  const auto a = cache.plane(f.system, f.flight);
-  const auto b = cache.plane(other, f.flight);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_NE(a->relay_tx_dbm[0], b->relay_tx_dbm[0]);
-}
-
-TEST(ForwardPlaneCache, CapacityZeroDisablesRetention) {
-  const auto f = make_fixture(13);
-  core::ForwardPlaneCache cache(0);
-  const auto first = cache.plane(f.system, f.flight);
-  const auto again = cache.plane(f.system, f.flight);
-  EXPECT_NE(first.get(), again.get());  // both fresh, both correct
-  EXPECT_EQ(first->h1[0], again->h1[0]);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.planes, 0u);
-}
-
-TEST(ForwardPlaneCache, FifoEvictionIsDeterministic) {
-  const auto fa = make_fixture(14);
-  const auto fb = make_fixture(15);
-  core::ForwardPlaneCache cache(1);
-  cache.plane(fa.system, fa.flight);  // retained
-  cache.plane(fb.system, fb.flight);  // evicts a (FIFO, capacity 1)
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().planes, 1u);
-  cache.plane(fa.system, fa.flight);  // miss again, rebuilt
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 3u);
-  EXPECT_EQ(s.evictions, 2u);
-}
-
-TEST(ForwardPlaneCache, ConcurrentHammerStaysCorrect) {
-  // Racing lookups over few keys with eviction churn: the mutex keeps the
-  // shelf coherent (TSAN verifies), and every plane handed out matches a
-  // fresh build bitwise even after its entry was evicted (shared_ptr keeps
-  // it alive).
-  std::vector<Fixture> fixtures;
-  for (std::uint64_t k = 0; k < 4; ++k) fixtures.push_back(make_fixture(20 + k));
-  std::vector<core::ForwardPlane> fresh;
-  for (const auto& f : fixtures)
-    fresh.push_back(core::ForwardPlane::build(f.system, f.flight));
-
-  core::ForwardPlaneCache cache(2);
-  std::vector<std::thread> workers;
-  std::vector<int> failures(8, 0);
-  for (int t = 0; t < 8; ++t) {
-    workers.emplace_back([&, t] {
-      for (int i = 0; i < 50; ++i) {
-        const std::size_t k = static_cast<std::size_t>((t + i) % 4);
-        const auto plane = cache.plane(fixtures[k].system, fixtures[k].flight);
-        for (std::size_t j = 0; j < plane->size(); ++j) {
-          if (plane->h1[j] != fresh[k].h1[j] ||
-              plane->relay_tx_mw[j] != fresh[k].relay_tx_mw[j]) {
-            ++failures[static_cast<std::size_t>(t)];
-          }
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  for (int t = 0; t < 8; ++t) EXPECT_EQ(failures[static_cast<std::size_t>(t)], 0) << t;
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses, 8u * 50u);
-}
-
-TEST(ForwardPlaneCache, ChannelEvalsCountOncePerBuild) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
-  const auto f = make_fixture(30);
-  auto& evals = obs::counter("measure.plane.channel_evals");
-  auto& builds = obs::counter("measure.plane.builds");
-  const std::uint64_t evals_before = evals.value();
-  const std::uint64_t builds_before = builds.value();
-
-  core::ForwardPlaneCache cache(4);
-  cache.plane(f.system, f.flight);  // build: one eval per waypoint
-  cache.plane(f.system, f.flight);  // hit: no evals
-  cache.plane(f.system, f.flight);  // hit: no evals
-  EXPECT_EQ(evals.value() - evals_before, f.flight.size());
-  EXPECT_EQ(builds.value() - builds_before, 1u);
+  EXPECT_NE(variants[0].distances, nullptr);
+  EXPECT_NE(variants[0].phasors, nullptr);
+  EXPECT_NE(variants[0].synthesize, nullptr);
+  EXPECT_EQ(&core::forward_kernel_active(), &variants[0]);
 }
 
 // --- Scenario knob -------------------------------------------------------
@@ -546,11 +391,6 @@ sim::Scenario matrix_scenario() {
   return scenario;
 }
 
-void clear_measure_caches() {
-  localize::global_geometry_cache().clear();
-  core::global_forward_plane_cache().clear();
-}
-
 struct MeasureMatrixCase {
   unsigned threads;
   sim::BatchMode mode;
@@ -572,9 +412,7 @@ TEST_P(ExactPlaneMatrix, BitIdenticalToScalarCollect) {
   const std::vector<sim::BatchJob> jobs_on{{on, 11}, {on, 12}, {on, 11}};
   const std::vector<sim::BatchJob> jobs_off{{off, 11}, {off, 12}, {off, 11}};
 
-  clear_measure_caches();
   const auto with_plane = sim::run_batch(jobs_on, {c.threads, c.mode});
-  clear_measure_caches();
   const auto without = sim::run_batch(jobs_off, {c.threads, c.mode});
   expect_results_identical(with_plane, without);
 }
@@ -594,37 +432,31 @@ INSTANTIATE_TEST_SUITE_P(
       return cases;
     }()));
 
-TEST(ExactPlaneMatrix, WarmCacheIsBitIdenticalAndDeterministic) {
-  const auto jobs = std::vector<sim::BatchJob>(3, {matrix_scenario(), 31});
+TEST(ForwardPlane, BuildCostIsOncePerWaypointAndOncePerMission) {
+  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  auto& evals = obs::counter("measure.plane.channel_evals");
+  auto& builds = obs::counter("measure.plane.builds");
 
-  clear_measure_caches();
-  sim::BatchRunInfo cold_info;
-  const auto cold = sim::run_batch(jobs, {2, sim::BatchMode::kBatched}, &cold_info);
-  // Same scenario + seed = same flight: one build, then hits.
-  EXPECT_EQ(cold_info.forward_plane_misses, 1u);
-  EXPECT_EQ(cold_info.forward_plane_hits, 2u);
+  // A build evaluates the reader<->relay channel once per waypoint.
+  const auto f = make_fixture(30);
+  const std::uint64_t evals_before = evals.value();
+  const std::uint64_t builds_before = builds.value();
+  core::ForwardPlane::build(f.system, f.flight);
+  EXPECT_EQ(evals.value() - evals_before, f.flight.size());
+  EXPECT_EQ(builds.value() - builds_before, 1u);
 
-  sim::BatchRunInfo warm_info;
-  const auto warm = sim::run_batch(jobs, {2, sim::BatchMode::kBatched}, &warm_info);
-  EXPECT_EQ(warm_info.forward_plane_misses, 0u);
-  EXPECT_EQ(warm_info.forward_plane_hits, 3u);
-  expect_results_identical(cold, warm);
-
-  // Per-mission mode reports plane stats too (the pipeline always uses the
-  // plane cache when the knob is on).
-  clear_measure_caches();
-  sim::BatchRunInfo per_mission_info;
-  const auto per_mission =
-      sim::run_batch(jobs, {2, sim::BatchMode::kPerMission}, &per_mission_info);
-  EXPECT_EQ(per_mission_info.forward_plane_misses, 1u);
-  EXPECT_EQ(per_mission_info.forward_plane_hits, 2u);
-  expect_results_identical(cold, per_mission);
-
-  // Restore the default retention bounds for whatever runs next.
-  core::global_forward_plane_cache().set_capacity(
-      core::ForwardPlaneCache::kDefaultCapacity);
-  localize::global_geometry_cache().set_capacity(
-      localize::GeometryCache::kDefaultCapacity);
+  // Every fault-free single-relay mission builds its own plane exactly
+  // once, in both batch modes, even when two of them fly the same flight.
+  const std::vector<sim::BatchJob> jobs{
+      {matrix_scenario(), 31}, {matrix_scenario(), 31}, {matrix_scenario(), 32}};
+  for (sim::BatchMode mode :
+       {sim::BatchMode::kBatched, sim::BatchMode::kPerMission}) {
+    const std::uint64_t before = builds.value();
+    for (const auto& r : sim::run_batch(jobs, {2, mode})) {
+      ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
+    }
+    EXPECT_EQ(builds.value() - before, jobs.size()) << sim::batch_mode_name(mode);
+  }
 }
 
 TEST(FastPlaneMission, TracksExactReportClosely) {
@@ -636,9 +468,7 @@ TEST(FastPlaneMission, TracksExactReportClosely) {
   sim::Scenario fast = matrix_scenario();
   fast.measure_plane = core::MeasurePlane::kFast;
 
-  clear_measure_caches();
   const auto a = sim::run_scenario(exact, 11);
-  clear_measure_caches();
   const auto b = sim::run_scenario(fast, 11);
   ASSERT_TRUE(a.ok()) << a.status().to_string();
   ASSERT_TRUE(b.ok()) << b.status().to_string();
