@@ -89,8 +89,8 @@ void a3_frequency_shift() {
     cfg.localize_at_reader_freq = true;  // use f instead of f2
     std::vector<double> errors;
     for (std::uint64_t seed = 0; seed < 8; ++seed) {
-      auto result = run_localization_trial(cfg, 300 + seed);
-      if (result.localized) errors.push_back(result.sar_error_m);
+      const auto result = try_run_localization_trial(cfg, 300 + seed);
+      if (result) errors.push_back(result->sar_error_m);
     }
     std::printf("  shift %5.0f kHz (ratio %.4f): median error %6.3f m\n",
                 shift / 1e3, shift / 915e6, median(errors));
@@ -131,7 +131,7 @@ void a4_peak_selection() {
       cfg.grid = {3.0, 8.0, -1.0, 7.0, 0.02};
       cfg.peak_threshold_fraction = 0.35;
       cfg.selection = selection;
-      const auto result = localize::localize_2d(set, cfg);
+      const auto result = localize::localize_2d_checked(set, cfg);
       if (result) {
         errors.push_back(std::hypot(result->x - tag.x, result->y - tag.y));
       }

@@ -81,7 +81,7 @@ struct CliOptions {
   std::string scenario; // scenario file (scenario_runner)
   bool report = false;  // print the span tree + metric table after the run
   std::string trace_out; // Chrome trace-event JSON path; empty = none
-  /// SAR evaluation kernel (--kernel exact|fast|auto). Benches default to
+  /// SAR evaluation kernel (--kernel exact|fast). Benches default to
   /// fast — they measure perf, not goldens; pass --kernel exact to compare
   /// against the seed's libm loop.
   localize::SarKernel kernel = localize::SarKernel::kFast;
@@ -135,9 +135,13 @@ struct CliOptions {
         scenario = value;
       } else if (arg == "--kernel" && (value = value_of(i))) {
         if (!localize::parse_sar_kernel(value, kernel)) {
-          return fail({StatusCode::kParseError,
-                       "--kernel wants exact|fast|auto, got '" +
-                           std::string(value) + "'"});
+          std::string message =
+              "--kernel wants exact|fast, got '" + std::string(value) + "'";
+          if (const char* use = localize::sar_kernel_replacement(value)) {
+            message += ": '" + std::string(value) + "' was removed; use '" +
+                       use + "'";
+          }
+          return fail({StatusCode::kParseError, std::move(message)});
         }
         kernel_explicit = true;
       } else if (arg == "--search" && (value = value_of(i))) {
@@ -175,7 +179,7 @@ struct CliOptions {
   static void usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--seed N] [--trials N] [--threads N] "
-                 "[--kernel exact|fast|auto] "
+                 "[--kernel exact|fast] "
                  "[--search exact|incremental|coarse2fine] "
                  "[--batch batched|per-mission] "
                  "[--out FILE] "

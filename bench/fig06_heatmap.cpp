@@ -43,7 +43,12 @@ void run_scene(const char* title, int shelf_rows, std::uint64_t seed,
   const auto plan = drone::linear_trajectory({0.0, -0.4, 1.0}, {2.8, -0.35, 1.0}, 50);
   const auto flight =
       drone::fly(plan, drone::FlightConfig{}, drone::optitrack_tracking(), rng);
-  const auto measurements = system.collect_measurements(flight, tag, rng);
+  const auto collected = system.try_collect_measurements(flight, tag, rng);
+  if (!collected) {
+    std::printf("collection failed: %s\n", collected.status().to_string().c_str());
+    return;
+  }
+  const localize::MeasurementSet& measurements = *collected;
   std::printf("measurements: %zu\n", measurements.size());
 
   localize::LocalizerConfig loc;
@@ -51,7 +56,7 @@ void run_scene(const char* title, int shelf_rows, std::uint64_t seed,
   loc.grid = {-0.5, 3.0, -0.5, 2.0, 0.02};
   loc.multires = false;
   loc.peak_threshold_fraction = 0.4;
-  const auto result = localize::localize_2d(measurements, loc);
+  const auto result = localize::localize_2d_checked(measurements, loc);
   if (!result) {
     std::printf("localization failed\n");
     return;
@@ -179,7 +184,12 @@ std::string search_sweep_3d(std::uint64_t seed) {
   }
   const auto flight =
       drone::fly(plan, drone::FlightConfig{}, drone::optitrack_tracking(), rng);
-  const auto measurements = system.collect_measurements(flight, tag, rng);
+  const auto collected = system.try_collect_measurements(flight, tag, rng);
+  if (!collected) {
+    std::printf("collection failed: %s\n", collected.status().to_string().c_str());
+    return "null";
+  }
+  const localize::MeasurementSet& measurements = *collected;
 
   localize::Volume vol;
   vol.x_min = tag.x - 1.5;
@@ -261,8 +271,12 @@ void kernel_thread_sweep(std::uint64_t seed) {
   const auto plan = drone::linear_trajectory({0.0, -0.4, 1.0}, {2.8, -0.35, 1.0}, 50);
   const auto flight =
       drone::fly(plan, drone::FlightConfig{}, drone::optitrack_tracking(), rng);
-  const auto measurements = system.collect_measurements(flight, tag, rng);
-  const auto iso = localize::disentangle(measurements);
+  const auto collected = system.try_collect_measurements(flight, tag, rng);
+  if (!collected) {
+    std::printf("collection failed: %s\n", collected.status().to_string().c_str());
+    return;
+  }
+  const auto iso = localize::disentangle(*collected);
   const double freq = sys_cfg.carrier_hz + sys_cfg.freq_shift_hz;
   const localize::GridSpec grid{-0.5, 3.0, -0.5, 2.0, 0.02};
 

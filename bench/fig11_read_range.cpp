@@ -22,17 +22,23 @@ int main() {
   double relay_at_50 = 0.0;
   double nlos_at_55 = 0.0;
   for (double d : {1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 55.0, 60.0}) {
-    const auto p_los = run_read_rate_point(los, d, 100 + static_cast<std::uint64_t>(d));
+    const auto p_los =
+        try_run_read_rate_point(los, d, 100 + static_cast<std::uint64_t>(d));
     const auto p_nlos =
-        run_read_rate_point(nlos, d, 200 + static_cast<std::uint64_t>(d));
+        try_run_read_rate_point(nlos, d, 200 + static_cast<std::uint64_t>(d));
+    if (!p_los || !p_nlos) {
+      const Status& why = (!p_los ? p_los : p_nlos).status();
+      std::fprintf(stderr, "%s\n", why.to_string().c_str());
+      return 1;
+    }
     std::printf("  %10.0f   %10.0f   %11.0f   %12.0f\n", d,
-                100.0 * p_los.read_rate_no_relay, 100.0 * p_los.read_rate_with_relay,
-                100.0 * p_nlos.read_rate_with_relay);
-    if (p_los.read_rate_no_relay < 0.05 && crossover_no_relay == 0.0) {
+                100.0 * p_los->read_rate_no_relay, 100.0 * p_los->read_rate_with_relay,
+                100.0 * p_nlos->read_rate_with_relay);
+    if (p_los->read_rate_no_relay < 0.05 && crossover_no_relay == 0.0) {
       crossover_no_relay = d;
     }
-    if (d == 50.0) relay_at_50 = p_los.read_rate_with_relay;
-    if (d == 55.0) nlos_at_55 = p_nlos.read_rate_with_relay;
+    if (d == 50.0) relay_at_50 = p_los->read_rate_with_relay;
+    if (d == 55.0) nlos_at_55 = p_nlos->read_rate_with_relay;
   }
 
   std::printf("\n");

@@ -36,12 +36,12 @@ int main(int argc, char** argv) {
     cfg.sar_kernel = opts.kernel;
     cfg.sar_search = opts.search;
     const auto result =
-        run_localization_trial(cfg, 5000 + static_cast<std::uint64_t>(t));
-    if (!result.localized) {
+        try_run_localization_trial(cfg, 5000 + static_cast<std::uint64_t>(t));
+    if (!result) {
       ++failed;
       continue;
     }
-    errors.push_back(result.sar_error_m);
+    errors.push_back(result->sar_error_m);
   }
 
   std::printf("trials: %d, localized: %zu, failed: %d\n\n", kTrials, errors.size(),

@@ -44,12 +44,12 @@ int main(int argc, char** argv) {
       cfg.tracking = drone::optitrack_tracking();
       cfg.sar_kernel = opts.kernel;
       cfg.sar_search = opts.search;
-      const auto result = run_localization_trial(
+      const auto result = try_run_localization_trial(
           cfg, 6000 + static_cast<std::uint64_t>(t) * 31 +
                    static_cast<std::uint64_t>(aperture * 10));
-      if (!result.localized) continue;
-      sar.push_back(result.sar_error_m);
-      rssi.push_back(result.rssi_error_m);
+      if (!result) continue;
+      sar.push_back(result->sar_error_m);
+      rssi.push_back(result->rssi_error_m);
     }
     std::printf("  %10.1f   %7.3f   %7.3f   %7.3f   %8.3f  %8.3f  %8.3f\n",
                 aperture, percentile(sar, 10), median(sar), percentile(sar, 90),

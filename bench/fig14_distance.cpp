@@ -59,12 +59,12 @@ int main(int argc, char** argv) {
       cfg.flight_altitude_m = 0.3;
       cfg.sar_kernel = opts.kernel;
       cfg.sar_search = opts.search;
-      const auto result = run_localization_trial(
+      const auto result = try_run_localization_trial(
           cfg, 7000 + static_cast<std::uint64_t>(t) * 17 +
                    static_cast<std::uint64_t>(projected));
-      if (!result.localized) continue;
-      sar.push_back(result.sar_error_m);
-      rssi.push_back(result.rssi_error_m);
+      if (!result) continue;
+      sar.push_back(result->sar_error_m);
+      rssi.push_back(result->rssi_error_m);
 
       channel::Environment env;
       RflySystem probe(cfg.system, env, cfg.reader_position);

@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
       }
       const auto flight =
           drone::fly(plan, drone::FlightConfig{}, drone::optitrack_tracking(), rng);
-      const auto measurements = system.collect_measurements(flight, tag, rng);
-      if (measurements.size() < 5) continue;
+      const auto measurements = system.try_collect_measurements(flight, tag, rng);
+      if (!measurements || measurements->size() < 5) continue;
 
       localize::Volume vol;
       vol.x_min = tag.x - 1.5;
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
       cfg3d.threads = opts.threads;
       cfg3d.kernel = opts.kernel;
       cfg3d.search = opts.search;
-      const auto result = localize::localize_3d(measurements, vol, cfg3d);
+      const auto result = localize::localize_3d(*measurements, vol, cfg3d);
       if (!result) continue;
       xy_err.push_back(std::hypot(result->position.x - tag.x,
                                   result->position.y - tag.y));

@@ -62,8 +62,12 @@ int main(int argc, char** argv) {
   const auto flight =
       drone::fly(plan, drone::FlightConfig{}, drone::optitrack_tracking(), rng);
   const auto measurements =
-      system.collect_measurements(flight, {1.4, 0.9, 0.0}, rng);
-  const auto iso = localize::disentangle(measurements);
+      system.try_collect_measurements(flight, {1.4, 0.9, 0.0}, rng);
+  if (!measurements) {
+    std::fprintf(stderr, "%s\n", measurements.status().to_string().c_str());
+    return 1;
+  }
+  const auto iso = localize::disentangle(*measurements);
   const double freq = sys_cfg.carrier_hz + sys_cfg.freq_shift_hz;
   const localize::GridSpec grid{-0.5, 3.0, -0.5, 2.0, 0.02};
 

@@ -63,9 +63,9 @@ void scene(const char* title, double ghost_gain) {
   cfg.peak_threshold_fraction = 0.35;
 
   cfg.selection = PeakSelection::kHighest;
-  const auto naive = localize_2d(set, cfg);
+  const auto naive = localize_2d_checked(set, cfg);
   cfg.selection = PeakSelection::kNearestToTrajectory;
-  const auto rfly = localize_2d(set, cfg);
+  const auto rfly = localize_2d_checked(set, cfg);
 
   GridSpec render_grid{3.0, 8.0, -1.0, 7.0, 0.12};
   const auto map = sar_heatmap(disentangle(set), render_grid, cfg.freq_hz);

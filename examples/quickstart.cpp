@@ -44,9 +44,15 @@ int main() {
   std::printf("relay incident power at tag (mid-flight): %.1f dBm -> powered\n",
               system.tag_incident_power_dbm(flight[20].actual, tag_position));
 
-  const auto measurements = system.collect_measurements(flight, tag_position, rng);
+  const auto measurements =
+      system.try_collect_measurements(flight, tag_position, rng);
+  if (!measurements) {
+    std::printf("collection failed: %s\n",
+                measurements.status().to_string().c_str());
+    return 1;
+  }
   std::printf("collected %zu channel measurements along a %.1f m aperture\n",
-              measurements.size(), drone::trajectory_length(plan));
+              measurements->size(), drone::trajectory_length(plan));
 
   // --- 3. Localize: disentangle the half-links, SAR matched filter. ---
   // The SAR search runs the fast SIMD kernel here (config.kernel); the
@@ -58,9 +64,9 @@ int main() {
   loc.grid = {27.0, 33.0, 1.0, 5.5, 0.01};
   loc.kernel = localize::SarKernel::kFast;
   std::printf("SAR kernel: fast (%s)\n", localize::sar_kernel_active().isa);
-  const auto result = localize::localize_2d(measurements, loc);
+  const auto result = localize::localize_2d_checked(*measurements, loc);
   if (!result) {
-    std::printf("localization failed (no usable measurements)\n");
+    std::printf("localization failed: %s\n", result.status().to_string().c_str());
     return 1;
   }
 

@@ -40,14 +40,15 @@ AdaptiveSurveyResult adaptive_localize(const RflySystem& system,
 
   const auto flight =
       drone::fly(initial_plan, config.flight, config.tracking, rng);
-  auto measurements = system.collect_measurements(flight, tag_position, rng);
-  if (measurements.size() < 3) return result;
+  auto collected = system.try_collect_measurements(flight, tag_position, rng);
+  if (!collected || collected->size() < 3) return result;
+  localize::MeasurementSet measurements = std::move(collected.value());
 
   // Initial estimate, searched around the measurement centroid.
   Vec3 centroid{0, 0, 0};
   for (const auto& m : measurements) centroid = centroid + m.relay_position;
   centroid = centroid / static_cast<double>(measurements.size());
-  const auto first = localize::localize_2d(
+  const auto first = localize::localize_2d_checked(
       measurements,
       make_localizer(config, system.config(), centroid.x, centroid.y));
   if (!first) return result;
@@ -87,13 +88,13 @@ AdaptiveSurveyResult adaptive_localize(const RflySystem& system,
   const auto leg_flight =
       drone::fly(leg_plan, config.flight, config.tracking, rng);
   const auto leg_measurements =
-      system.collect_measurements(leg_flight, tag_position, rng);
-  if (leg_measurements.size() < 3) return result;
+      system.try_collect_measurements(leg_flight, tag_position, rng);
+  if (!leg_measurements || leg_measurements->size() < 3) return result;
   result.refinement_flown = true;
 
-  measurements.insert(measurements.end(), leg_measurements.begin(),
-                      leg_measurements.end());
-  const auto second = localize::localize_2d(
+  measurements.insert(measurements.end(), leg_measurements->begin(),
+                      leg_measurements->end());
+  const auto second = localize::localize_2d_checked(
       measurements,
       make_localizer(config, system.config(), result.estimate.x,
                      result.estimate.y));

@@ -17,14 +17,12 @@ channel::Environment building_environment() {
   return channel::warehouse_environment(40.0, 30.0, 0);
 }
 
-namespace {
-
-/// Single implementation behind both trial entry points: fills `result` as
-/// far as the trial gets (so the legacy wrapper keeps its partial-result
-/// behaviour) and reports how far that was through the returned Status.
-Status run_localization_trial_impl(const LocalizationTrialConfig& config,
-                                   std::uint64_t seed,
-                                   LocalizationTrialResult& result) {
+Expected<LocalizationTrialResult> try_run_localization_trial(
+    const LocalizationTrialConfig& config, std::uint64_t seed) {
+  const auto fail = [seed](Status status) {
+    return std::move(status).with_context("localization trial seed " +
+                                          std::to_string(seed));
+  };
   Rng rng(seed);
 
   channel::Environment env =
@@ -46,13 +44,12 @@ Status run_localization_trial_impl(const LocalizationTrialConfig& config,
 
   auto measurements = system.try_collect_measurements(flight, tag, rng);
   if (!measurements.ok()) {
-    return measurements.status().with_context("collect measurements");
+    return fail(measurements.status().with_context("collect measurements"));
   }
-  result.measurements = measurements->size();
   if (measurements->size() < 3) {
-    return {StatusCode::kInsufficientData,
-            "only " + std::to_string(measurements->size()) +
-                " measurements collected; SAR needs at least 3"};
+    return fail({StatusCode::kInsufficientData,
+                 "only " + std::to_string(measurements->size()) +
+                     " measurements collected; SAR needs at least 3"});
   }
 
   localize::LocalizerConfig loc;
@@ -73,8 +70,9 @@ Status run_localization_trial_impl(const LocalizationTrialConfig& config,
                             tag.y + config.flight_offset_y_m - 0.3);
 
   auto sar = localize::localize_2d_checked(*measurements, loc);
-  if (!sar.ok()) return sar.status().with_context("SAR localization");
-  result.localized = true;
+  if (!sar.ok()) return fail(sar.status().with_context("SAR localization"));
+  LocalizationTrialResult result;
+  result.measurements = measurements->size();
   result.sar = *sar;
   result.sar_error_m = std::hypot(sar->x - tag.x, sar->y - tag.y);
 
@@ -88,35 +86,7 @@ Status run_localization_trial_impl(const LocalizationTrialConfig& config,
   const auto iso = localize::disentangle(*measurements);
   const auto rssi_result = localize::rssi_localize(iso, rssi);
   result.rssi_error_m = std::hypot(rssi_result.x - tag.x, rssi_result.y - tag.y);
-
-  return Status::ok();
-}
-
-}  // namespace
-
-LocalizationTrialResult run_localization_trial(const LocalizationTrialConfig& config,
-                                               std::uint64_t seed) {
-  LocalizationTrialResult result;
-  (void)run_localization_trial_impl(config, seed, result);
   return result;
-}
-
-Expected<LocalizationTrialResult> try_run_localization_trial(
-    const LocalizationTrialConfig& config, std::uint64_t seed) {
-  LocalizationTrialResult result;
-  Status status = run_localization_trial_impl(config, seed, result);
-  if (!status.is_ok()) {
-    return std::move(status).with_context("localization trial seed " +
-                                          std::to_string(seed));
-  }
-  return result;
-}
-
-ReadRatePoint run_read_rate_point(const ReadRateConfig& config, double distance_m,
-                                  std::uint64_t seed) {
-  auto point = try_run_read_rate_point(config, distance_m, seed);
-  if (!point.ok()) return ReadRatePoint{distance_m, 0.0, 0.0};
-  return *point;
 }
 
 Expected<ReadRatePoint> try_run_read_rate_point(const ReadRateConfig& config,

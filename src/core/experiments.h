@@ -55,22 +55,17 @@ struct LocalizationTrialConfig {
 };
 
 struct LocalizationTrialResult {
-  bool localized = false;
   double sar_error_m = 0.0;
   double rssi_error_m = 0.0;
   std::size_t measurements = 0;
   localize::LocalizationResult sar;
 };
 
-/// Legacy entry point: runs the trial and reports failure only through
-/// `result.localized`. Thin wrapper over try_run_localization_trial.
-LocalizationTrialResult run_localization_trial(const LocalizationTrialConfig& config,
-                                               std::uint64_t seed);
-
-/// Typed-error variant: kInvalidArgument for inconsistent configs,
-/// kInsufficientData when fewer than 3 measurements survive collection, and
-/// the localizer's own codes (kNoReference, kDegenerateGrid, kNoPeaks) when
-/// SAR fails. Successful results are bit-identical to the legacy runner.
+/// Run one trial: fly the aperture, collect, localize with SAR and the
+/// RSSI baseline. Fails with kEmptyFlightPlan or kInsufficientData from
+/// collection, kInsufficientData when fewer than 3 measurements survive
+/// it, and the localizer's own codes (kNoReference, kDegenerateGrid,
+/// kNoPeaks) when SAR fails.
 Expected<LocalizationTrialResult> try_run_localization_trial(
     const LocalizationTrialConfig& config, std::uint64_t seed);
 
@@ -93,13 +88,8 @@ struct ReadRatePoint {
   double read_rate_with_relay = 0.0;
 };
 
-/// Legacy entry point; thin wrapper over try_run_read_rate_point (invalid
-/// configs come back as a zeroed point instead of NaN rates).
-ReadRatePoint run_read_rate_point(const ReadRateConfig& config, double distance_m,
-                                  std::uint64_t seed);
-
-/// Typed-error variant: kInvalidArgument when trials <= 0 or the distance is
-/// not positive (the legacy runner silently produced NaN read rates).
+/// Read rates with and without the relay at one reader-tag distance.
+/// kInvalidArgument when trials <= 0 or the distance is not positive.
 Expected<ReadRatePoint> try_run_read_rate_point(const ReadRateConfig& config,
                                                 double distance_m,
                                                 std::uint64_t seed);

@@ -15,28 +15,22 @@ namespace rfly::core {
 
 const char* measure_plane_name(MeasurePlane mode) {
   switch (mode) {
-    case MeasurePlane::kOff:
-      return "off";
     case MeasurePlane::kExact:
       return "exact";
     case MeasurePlane::kFast:
       return "fast";
-    case MeasurePlane::kAuto:
-      return "auto";
   }
-  return "auto";
+  return "exact";
 }
 
 bool parse_measure_plane(const std::string& text, MeasurePlane& out) {
-  if (text == "off") return out = MeasurePlane::kOff, true;
   if (text == "exact") return out = MeasurePlane::kExact, true;
   if (text == "fast") return out = MeasurePlane::kFast, true;
-  if (text == "auto") return out = MeasurePlane::kAuto, true;
   return false;
 }
 
-MeasurePlane resolve_measure_plane(MeasurePlane mode) {
-  return mode == MeasurePlane::kAuto ? MeasurePlane::kExact : mode;
+const char* measure_plane_replacement(const std::string& text) {
+  return text == "off" || text == "auto" ? "exact" : nullptr;
 }
 
 // --- Kernel bodies ---------------------------------------------------------

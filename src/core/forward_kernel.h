@@ -28,36 +28,32 @@
 namespace rfly::core {
 
 /// Measure-stage plane selector, a first-class knob on ScanMissionConfig
-/// and the scenario format (`measure.plane = off|exact|fast|auto`).
+/// and the scenario format (`measure.plane = exact|fast`). Both modes hoist
+/// the per-waypoint channels into a ForwardPlane once per flight.
 ///
-///   - `off`   — the seed's scalar loop: every per-waypoint quantity is
-///               re-derived per point per tag.
-///   - `exact` — plane-backed collect: identical expressions, evaluated
-///               once per flight. Bit-identical to `off` at any thread
+///   - `exact` — the default: the seed's per-point expressions, evaluated
+///               once per flight. Bit-identical to the seed at any thread
 ///               count, batch mode and fault config (pinned by the
-///               `measure` parity matrix).
+///               `measure` suite against the seed loop and committed
+///               digests).
 ///   - `fast`  — kernel-synthesized channels: linear-domain power math
 ///               over waypoints × tags. Mathematically equivalent, not
 ///               bit-identical.
-///   - `auto`  — let the library choose. Unlike the SAR kernel's auto
-///               (which picks fast), this resolves to `exact`: the default
-///               pipeline must stay bit-identical to the seed.
 enum class MeasurePlane : std::uint8_t {
-  kOff = 0,
-  kExact = 1,
-  kFast = 2,
-  kAuto = 3,
+  kExact = 0,
+  kFast = 1,
 };
 
-/// "off", "exact", "fast", "auto" (stable; used by the scenario serializer).
+/// "exact", "fast" (stable; used by the scenario serializer).
 const char* measure_plane_name(MeasurePlane mode);
 
-/// Parse a plane-mode name; false on anything but the four names above.
+/// Parse a plane-mode name; false on anything but the two names above.
 bool parse_measure_plane(const std::string& text, MeasurePlane& out);
 
-/// Collapse kAuto to the concrete mode the library picks for it (kExact —
-/// defaults must stay bit-identical to the seed; fast is opt-in).
-MeasurePlane resolve_measure_plane(MeasurePlane mode);
+/// The mode that replaced a removed plane-mode name — "exact" for "off"
+/// and "auto" — or nullptr when `text` never named a mode. Lets parsers
+/// tell the owner of an old scenario file what to write instead.
+const char* measure_plane_replacement(const std::string& text);
 
 /// Flat argument block for the kernel entry points. One struct serves all
 /// three ops; each op documents the fields it reads.

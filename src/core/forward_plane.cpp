@@ -15,7 +15,7 @@ namespace {
 
 // Plane telemetry. `channel_evals` is the headline counter the acceptance
 // bench asserts on: per-waypoint channel evaluations charged to the measure
-// stage — one per waypoint per plane build, instead of the scalar path's ~5
+// stage — one per waypoint per plane build, instead of the seed loop's ~5
 // per waypoint per tag.
 obs::Counter& plane_builds() {
   static obs::Counter& c = obs::counter("measure.plane.builds");
@@ -50,9 +50,9 @@ ForwardPlane ForwardPlane::build(const RflySystem& system,
     plane.px[i] = a.x;
     plane.py[i] = a.y;
     plane.pz[i] = a.z;
-    // Exact hoists: the same public methods the scalar collect loop drives,
-    // called once per waypoint — stored bits are exactly what the scalar
-    // path would have recomputed at this point.
+    // Exact hoists: the same public methods the seed collect loop drives,
+    // called once per waypoint — stored bits are exactly what the seed
+    // loop would have recomputed at this point.
     const cdouble h1 = system.reader_relay_channel(a);
     plane.h1[i] = h1;
     plane.h1_abs_db[i] = amplitude_to_db(std::abs(h1));

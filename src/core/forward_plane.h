@@ -1,7 +1,7 @@
 // Measurement-synthesis plane: per-flight hoisted forward-channel state
 // (the measure-stage analogue of the batch runner's localization plane).
 //
-// The scalar measure stage re-derives every per-waypoint quantity — the
+// The seed's measure loop re-derived every per-waypoint quantity — the
 // reader↔relay channel h1, the capped downlink drive, the effective
 // downlink gain, the embedded-tag channel — roughly five times per flight
 // point *per tag* through the RflySystem call graph. All of it depends only
@@ -9,9 +9,9 @@
 // exactly once per flight:
 //
 //   - exact mode reads the hoisted values back through expressions
-//     identical to the scalar path's, so results are bit-identical to the
+//     identical to the seed loop's, so results are bit-identical to the
 //     seed (the plane stores results of the same public methods, called
-//     once); pinned by the `measure` parity matrix in
+//     once); pinned against that loop, kept as the oracle in
 //     tests/test_measure_plane.cpp.
 //   - fast mode additionally feeds the plane's linear-domain mirrors to the
 //     forward kernels (forward_kernel.h), which synthesize readability
@@ -45,7 +45,7 @@ struct ForwardPlane {
   // record, straight from the flight).
   std::vector<double> px, py, pz;
 
-  // Exact-path hoists: results of the scalar methods, one call per
+  // Exact-path hoists: results of the public per-point methods, one call per
   // waypoint, stored bit-for-bit.
   std::vector<cdouble> h1;           // reader_relay_channel(actual)
   std::vector<double> h1_abs_db;     // amplitude_to_db(|h1|)
@@ -61,8 +61,8 @@ struct ForwardPlane {
   std::size_t size() const { return px.size(); }
 
   /// Hoist the flight once: calls the same public RflySystem methods the
-  /// scalar collect loop calls, one evaluation per waypoint, so every
-  /// stored value is bit-identical to what the scalar path would have
+  /// seed collect loop calls, one evaluation per waypoint, so every
+  /// stored value is bit-identical to what the seed loop would have
   /// recomputed. Bumps the `measure.plane.channel_evals` obs counter by
   /// the flight size — the per-waypoint channel evaluations this build
   /// performs, charged once per flight instead of once per (point, tag).

@@ -1,9 +1,9 @@
-// Scan mission: the paper's deployment story as a library API. Given an
-// environment, a reader, a flight plan, and a tag population, run the whole
-// pipeline — fly, inventory (Gen2 rounds at each tag's best approach),
-// collect through-relay channel measurements, localize every discovered
-// tag, and report items via the EPC database. This is what a warehouse
-// operator would call; examples/warehouse_scan.cpp is a thin shell over it.
+// Scan mission: the paper's deployment story as library types. A mission
+// config, a tag population, and the report the staged pipeline
+// (sim::run_mission_pipeline in sim/pipeline.h) produces from them — fly,
+// inventory (Gen2 rounds at each tag's best approach), collect
+// through-relay channel measurements, localize every discovered tag, and
+// report items via the EPC database.
 #pragma once
 
 #include <optional>
@@ -65,11 +65,11 @@ struct ScanMissionConfig {
   /// refinement.
   localize::SarSearch sar_search = localize::SarSearch::kExact;
   /// Measurement-synthesis plane for the measure stage (forward_kernel.h).
-  /// kAuto resolves to kExact — per-waypoint channels hoisted once per
-  /// flight and shared across tags/missions, bit-identical to the seed's
-  /// scalar loop (kOff). kFast additionally synthesizes channels with the
-  /// multiversioned SIMD forward kernels (equivalent, not bit-identical).
-  MeasurePlane measure_plane = MeasurePlane::kAuto;
+  /// kExact (the default) hoists the per-waypoint channels once per flight
+  /// and shares them across the mission's tags, bit-identical to the seed.
+  /// kFast additionally synthesizes channels with the forward kernels
+  /// (equivalent, not bit-identical).
+  MeasurePlane measure_plane = MeasurePlane::kExact;
 };
 
 struct ScannedItem {
@@ -98,20 +98,5 @@ struct ScanReport {
   std::size_t localized = 0;
   double flight_length_m = 0.0;
 };
-
-/// Run a scan mission. `tags` owns the tag state machines (positions fixed
-/// for the mission). Deterministic given `seed`.
-///
-/// Legacy entry point: this is a thin adapter over the staged pipeline in
-/// sim/pipeline.h (same physics, same rng order, bit-identical report) that
-/// discards the stage trace and maps mission-level errors (empty flight
-/// plan, empty tag population, clipped search grid) to an empty report.
-/// Defined in the `rfly_sim` library; link rfly_sim to use it.
-ScanReport run_scan_mission(const ScanMissionConfig& config,
-                            const channel::Environment& environment,
-                            const Vec3& reader_position,
-                            const std::vector<Vec3>& flight_plan,
-                            std::vector<TagPlacement>& tags,
-                            const InventoryDatabase& database, std::uint64_t seed);
 
 }  // namespace rfly::core

@@ -8,21 +8,9 @@
 #include "common/constants.h"
 #include "common/units.h"
 #include "core/forward_plane.h"
-#include "obs/metrics.h"
 #include "signal/noise.h"
 
 namespace rfly::core {
-
-namespace {
-
-// Hoisted handle: registration is the slow path, the counter itself is a
-// sharded relaxed atomic (no-op entirely under RFLY_OBS=OFF).
-obs::Counter& measure_synth_failures() {
-  static obs::Counter& c = obs::counter("measure.synth.failures");
-  return c;
-}
-
-}  // namespace
 
 RflySystem::RflySystem(const SystemConfig& config, channel::Environment environment,
                        const Vec3& reader_position)
@@ -195,70 +183,34 @@ double RflySystem::estimate_noise_sigma() const {
   return std::sqrt(sigma_sq / tx_watts);
 }
 
-localize::MeasurementSet RflySystem::collect_measurements(
-    const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
-    Rng& rng) const {
-  auto collected = try_collect_measurements(flight, tag_pos, rng);
-  if (!collected.ok()) {
-    // Legacy-wrapper contract (see system.h): the typed Status is dropped
-    // here; count the drop so it is visible in metrics.
-    measure_synth_failures().inc();
-    return {};
+void RflySystem::add_ripple_and_noise(localize::RelayMeasurement& m, double sigma,
+                                      Rng& rng) const {
+  if (config_.amplitude_ripple_std_db > 0.0 || config_.phase_ripple_std_rad > 0.0) {
+    m.target_channel *=
+        db_to_amplitude(rng.gaussian(0.0, config_.amplitude_ripple_std_db)) *
+        cis(rng.gaussian(0.0, config_.phase_ripple_std_rad));
   }
-  return std::move(collected.value());
+  if (sigma > 0.0) {
+    m.target_channel += cdouble{rng.gaussian(0.0, sigma / std::sqrt(2.0)),
+                                rng.gaussian(0.0, sigma / std::sqrt(2.0))};
+    m.embedded_channel += cdouble{rng.gaussian(0.0, sigma / std::sqrt(2.0)),
+                                  rng.gaussian(0.0, sigma / std::sqrt(2.0))};
+  }
 }
 
 Expected<localize::MeasurementSet> RflySystem::try_collect_measurements(
     const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
     Rng& rng) const {
-  if (flight.empty()) {
-    return Status{StatusCode::kEmptyFlightPlan,
-                  "cannot collect measurements over an empty flight"};
-  }
-  localize::MeasurementSet set;
-  set.reserve(flight.size());
-  const double sigma = estimate_noise_sigma();
-  for (const auto& point : flight) {
-    // The tag must actually respond at this point for a channel estimate to
-    // exist: powered through the relay and decodable.
-    if (tag_incident_power_dbm(point.actual, tag_pos) < config_.tag.sensitivity_dbm) {
-      continue;
-    }
-    if (reply_snr_db(point.actual, tag_pos) < config_.decode_snr_threshold_db) {
-      continue;
-    }
-    localize::RelayMeasurement m;
-    m.relay_position = point.reported;
-    m.target_channel = measured_target_channel(point.actual, tag_pos);
-    m.embedded_channel = measured_embedded_channel(point.actual);
-    if (config_.amplitude_ripple_std_db > 0.0 || config_.phase_ripple_std_rad > 0.0) {
-      m.target_channel *=
-          db_to_amplitude(rng.gaussian(0.0, config_.amplitude_ripple_std_db)) *
-          cis(rng.gaussian(0.0, config_.phase_ripple_std_rad));
-    }
-    if (sigma > 0.0) {
-      m.target_channel += cdouble{rng.gaussian(0.0, sigma / std::sqrt(2.0)),
-                                  rng.gaussian(0.0, sigma / std::sqrt(2.0))};
-      m.embedded_channel += cdouble{rng.gaussian(0.0, sigma / std::sqrt(2.0)),
-                                    rng.gaussian(0.0, sigma / std::sqrt(2.0))};
-    }
-    set.push_back(m);
-  }
-  if (set.empty()) {
-    return Status{StatusCode::kInsufficientData,
-                  "tag unpowered or undecodable at all " +
-                      std::to_string(flight.size()) + " flight points"};
-  }
-  return set;
+  return try_collect_measurements(flight, tag_pos, rng,
+                                  ForwardPlane::build(*this, flight));
 }
 
-// Plane-backed exact collect. Lives in this TU, next to the scalar
-// reference loop above, so both compile under identical flags and FP
-// contraction decisions: every expression below is the scalar path's
-// expression with per-waypoint operands read from the plane (which stored
-// the same functions' results, evaluated once per flight) and per-tag
-// operands hoisted out of the loop. No value is computed differently —
-// only fewer times. Pinned bit-identical by tests/test_measure_plane.cpp.
+// Plane-backed exact collect. Every expression below is the seed loop's
+// expression (the public per-point methods above, composed as
+// tests/test_measure_plane.cpp's oracle composes them) with per-waypoint
+// operands read from the plane, which stored the same functions' results
+// evaluated once per flight, and per-tag operands hoisted out of the loop.
+// No value is computed differently — only fewer times.
 Expected<localize::MeasurementSet> RflySystem::try_collect_measurements(
     const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
     Rng& rng, const ForwardPlane& plane) const {
@@ -269,7 +221,7 @@ Expected<localize::MeasurementSet> RflySystem::try_collect_measurements(
   localize::MeasurementSet set;
   set.reserve(flight.size());
   const double sigma = estimate_noise_sigma();
-  // Per-tag constants the scalar path re-derives at every point.
+  // Per-tag constants the seed loop re-derives at every point.
   const double drho = backscatter_delta_rho();
   const double drho_db = amplitude_to_db(drho);
   const double noise_dbm = watts_to_dbm(signal::thermal_noise_power(
@@ -314,17 +266,7 @@ Expected<localize::MeasurementSet> RflySystem::try_collect_measurements(
     }
     m.target_channel = h;
     m.embedded_channel = plane.embedded[i];
-    if (config_.amplitude_ripple_std_db > 0.0 || config_.phase_ripple_std_rad > 0.0) {
-      m.target_channel *=
-          db_to_amplitude(rng.gaussian(0.0, config_.amplitude_ripple_std_db)) *
-          cis(rng.gaussian(0.0, config_.phase_ripple_std_rad));
-    }
-    if (sigma > 0.0) {
-      m.target_channel += cdouble{rng.gaussian(0.0, sigma / std::sqrt(2.0)),
-                                  rng.gaussian(0.0, sigma / std::sqrt(2.0))};
-      m.embedded_channel += cdouble{rng.gaussian(0.0, sigma / std::sqrt(2.0)),
-                                    rng.gaussian(0.0, sigma / std::sqrt(2.0))};
-    }
+    add_ripple_and_noise(m, sigma, rng);
     set.push_back(m);
   }
   if (set.empty()) {
@@ -337,7 +279,7 @@ Expected<localize::MeasurementSet> RflySystem::try_collect_measurements(
 
 // Fast-path collect: channels and readability precomputed by the forward
 // kernels (RNG-free), so this loop only sequences the stochastic draws —
-// in exactly the order the scalar loop would (see the RNG contract in
+// in exactly the order the exact loop does (see the RNG contract in
 // system.h).
 Expected<localize::MeasurementSet> RflySystem::try_collect_measurements(
     const std::vector<drone::FlownPoint>& flight, Rng& rng,
@@ -357,17 +299,7 @@ Expected<localize::MeasurementSet> RflySystem::try_collect_measurements(
     m.relay_position = flight[i].reported;
     m.target_channel = cdouble{synth.target_re[i], synth.target_im[i]};
     m.embedded_channel = plane.embedded[i];
-    if (config_.amplitude_ripple_std_db > 0.0 || config_.phase_ripple_std_rad > 0.0) {
-      m.target_channel *=
-          db_to_amplitude(rng.gaussian(0.0, config_.amplitude_ripple_std_db)) *
-          cis(rng.gaussian(0.0, config_.phase_ripple_std_rad));
-    }
-    if (sigma > 0.0) {
-      m.target_channel += cdouble{rng.gaussian(0.0, sigma / std::sqrt(2.0)),
-                                  rng.gaussian(0.0, sigma / std::sqrt(2.0))};
-      m.embedded_channel += cdouble{rng.gaussian(0.0, sigma / std::sqrt(2.0)),
-                                    rng.gaussian(0.0, sigma / std::sqrt(2.0))};
-    }
+    add_ripple_and_noise(m, sigma, rng);
     set.push_back(m);
   }
   if (set.empty()) {

@@ -148,24 +148,9 @@ class RflySystem {
   /// Collect localization measurements along a flown trajectory. Channels
   /// are computed at each point's *actual* position; the measurement
   /// records the *reported* position — the tracking error enters exactly
-  /// where it would in the real system.
-  ///
-  /// Legacy-wrapper contract: this is the untyped adapter around
-  /// try_collect_measurements for callers that predate Status/Expected. It
-  /// maps EVERY failure (kEmptyFlightPlan, kInsufficientData) to an empty
-  /// MeasurementSet — the typed Status is dropped, not surfaced. Each drop
-  /// bumps the `measure.synth.failures` obs counter so swallowed statuses
-  /// are at least visible in metrics; callers that care which failure
-  /// occurred must use try_collect_measurements directly. The measurement
-  /// values and rng consumption are identical between the two.
-  localize::MeasurementSet collect_measurements(
-      const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
-      Rng& rng) const;
-
-  /// Typed-error variant of collect_measurements: kEmptyFlightPlan when the
-  /// flight has no points, kInsufficientData (with how many points were
-  /// powered/decodable) when every point was dropped. The measurement values
-  /// and rng consumption are identical to collect_measurements.
+  /// where it would in the real system. kEmptyFlightPlan when the flight
+  /// has no points, kInsufficientData (with the flight size) when the tag
+  /// was unpowered or undecodable at every point.
   ///
   /// RNG contract (pinned by the draw-order golden in
   /// tests/test_measure_plane.cpp): no shadowing is drawn here; for each
@@ -173,28 +158,32 @@ class RflySystem {
   /// gaussians (amplitude dB, then phase rad — only when either ripple std
   /// is > 0) followed by four noise gaussians (target re/im, embedded
   /// re/im — only when the estimate sigma is > 0) are consumed, in flight
-  /// order; skipped points draw nothing. The plane-backed overloads below
-  /// preserve this sequence exactly — all channel math is RNG-free.
+  /// order; skipped points draw nothing. Every overload below keeps this
+  /// sequence — all channel math is RNG-free.
+  ///
+  /// This overload builds a ForwardPlane for the flight and runs the
+  /// plane-backed overload below; callers collecting several tags over one
+  /// flight build the plane once and call that overload directly.
   Expected<localize::MeasurementSet> try_collect_measurements(
       const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
       Rng& rng) const;
 
-  /// Plane-backed exact collect: identical loop, with every per-waypoint
-  /// quantity (reader↔relay channel, capped downlink drive, downlink gain,
-  /// embedded channel) read from a ForwardPlane built once per flight
-  /// instead of being re-derived ~5× per point per tag. Bit-identical to
-  /// the scalar overload above — the plane stores values produced by the
-  /// same expressions, evaluated once (pinned by the `measure` parity
-  /// matrix).
+  /// Plane-backed exact collect: every per-waypoint quantity (reader↔relay
+  /// channel, capped downlink drive, downlink gain, embedded channel) is
+  /// read from a ForwardPlane built once per flight instead of being
+  /// re-derived ~5× per point per tag. Bit-identical to the seed's
+  /// per-point loop — the plane stores values produced by the same
+  /// expressions, evaluated once (pinned against that loop, kept in
+  /// tests/test_measure_plane.cpp, and by committed mission digests).
   Expected<localize::MeasurementSet> try_collect_measurements(
       const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
       Rng& rng, const ForwardPlane& plane) const;
 
   /// Fast-path collect: consumes channels and readability masks synthesized
-  /// by the multiversioned forward kernels (linear-domain power math, SIMD
-  /// across waypoints). Mathematically equivalent but not bit-identical to
-  /// the exact path; opt-in via measure.plane=fast. Draw order is still the
-  /// exact sequence documented above — synthesis is RNG-free.
+  /// by the forward kernels (linear-domain power math across waypoints).
+  /// Mathematically equivalent but not bit-identical to the exact path;
+  /// opt-in via measure.plane=fast. Draw order is still the exact sequence
+  /// documented above — synthesis is RNG-free.
   Expected<localize::MeasurementSet> try_collect_measurements(
       const std::vector<drone::FlownPoint>& flight, Rng& rng,
       const ForwardPlane& plane, const SynthChannels& synth) const;
@@ -204,6 +193,12 @@ class RflySystem {
 
  private:
   double backscatter_delta_rho() const;
+
+  /// The collect loops' stochastic tail, the one implementation of the RNG
+  /// contract above: ripple on the target channel, then estimate noise of
+  /// std `sigma` on both channels.
+  void add_ripple_and_noise(localize::RelayMeasurement& m, double sigma,
+                            Rng& rng) const;
 
   SystemConfig config_;
   channel::Environment environment_;

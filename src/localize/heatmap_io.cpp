@@ -41,10 +41,6 @@ Status write_pgm_checked(const Heatmap& map, const std::string& path) {
   return Status::ok();
 }
 
-bool write_pgm(const Heatmap& map, const std::string& path) {
-  return write_pgm_checked(map, path).is_ok();
-}
-
 std::string render_ascii(const Heatmap& map, const AsciiRenderOptions& options) {
   const std::size_t nx = map.grid.nx();
   const std::size_t ny = map.grid.ny();

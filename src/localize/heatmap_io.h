@@ -17,9 +17,6 @@ namespace rfly::localize {
 /// comes up short — e.g. --heatmap-out into a missing directory.
 Status write_pgm_checked(const Heatmap& map, const std::string& path);
 
-/// Legacy boolean form; delegates to write_pgm_checked.
-bool write_pgm(const Heatmap& map, const std::string& path);
-
 struct AsciiRenderOptions {
   /// Target width in characters; the map is subsampled to fit.
   std::size_t width = 72;

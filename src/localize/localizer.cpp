@@ -219,13 +219,6 @@ Status validate_grid(const GridSpec& grid) {
   return Status::ok();
 }
 
-std::optional<LocalizationResult> localize_2d(const MeasurementSet& measurements,
-                                              const LocalizerConfig& config) {
-  auto result = localize_2d_checked(measurements, config);
-  if (!result.ok()) return std::nullopt;
-  return std::move(result.value());
-}
-
 Expected<LocalizationResult> localize_2d_checked(const MeasurementSet& measurements,
                                                  const LocalizerConfig& config) {
   const DisentangledSet set = disentangle(measurements);
@@ -290,16 +283,6 @@ Expected<LocalizationResult> localize_2d_with_plane(const DisentangledSet& set,
     return localize_2d_coarse2fine(set, config, map, threads);
   }
   return finish_from_map(set, config, map, threads);
-}
-
-std::optional<Localization3dResult> localize_3d(const MeasurementSet& measurements,
-                                                const Volume& volume, double freq_hz,
-                                                unsigned threads, SarKernel kernel) {
-  Localize3dConfig config;
-  config.freq_hz = freq_hz;
-  config.threads = threads;
-  config.kernel = kernel;
-  return localize_3d(measurements, volume, config);
 }
 
 namespace {

@@ -56,17 +56,11 @@ struct LocalizationResult {
   std::size_t measurements_used = 0;
 };
 
-/// Localize one tag from its measurement set. Returns nullopt when no
-/// usable measurements survive disentanglement. Thin wrapper over
-/// localize_2d_checked that discards the failure reason (legacy API).
-std::optional<LocalizationResult> localize_2d(const MeasurementSet& measurements,
-                                              const LocalizerConfig& config);
-
-/// Typed-error variant of localize_2d. Fails with kDegenerateGrid when the
-/// search window has no cells, kNoReference when disentanglement drops every
-/// measurement (no usable embedded-tag channel to divide by), and kNoPeaks
-/// when the heatmap has no candidate above the threshold fraction. Results
-/// are bit-identical to localize_2d whenever that succeeds.
+/// Localize one tag from its measurement set. Fails with kDegenerateGrid
+/// when the search window has no cells, kNoReference when disentanglement
+/// drops every measurement (no usable embedded-tag channel to divide by),
+/// and kNoPeaks when the heatmap has no candidate above the threshold
+/// fraction.
 Expected<LocalizationResult> localize_2d_checked(const MeasurementSet& measurements,
                                                  const LocalizerConfig& config);
 
@@ -114,18 +108,13 @@ struct Localization3dResult {
   double peak_value = 0.0;
 };
 
-/// `threads` and `kernel` as in LocalizerConfig: the volume is sharded by
-/// z-slice; each slice keeps its own argmax and the slices reduce in fixed
-/// z order, so the result matches the serial scan at any thread count.
-std::optional<Localization3dResult> localize_3d(const MeasurementSet& measurements,
-                                                const Volume& volume, double freq_hz,
-                                                unsigned threads = 0,
-                                                SarKernel kernel = SarKernel::kExact);
-
-/// Full-knob 3D search configuration. The legacy overload above forwards
-/// here with search = kExact.
+/// 3D search configuration.
 struct Localize3dConfig {
   double freq_hz = 915e6;
+  /// `threads` and `kernel` as in LocalizerConfig: the volume is sharded by
+  /// z-slice; each slice keeps its own argmax and the slices reduce in
+  /// fixed z order, so the result matches the serial scan at any thread
+  /// count.
   unsigned threads = 0;
   SarKernel kernel = SarKernel::kExact;
   /// kExact: brute-force volume scan. kIncremental: the same sums grown

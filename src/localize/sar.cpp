@@ -79,7 +79,7 @@ double Heatmap::max_value() const {
 
 double sar_projection(const DisentangledSet& set, const channel::Vec3& p,
                       double freq_hz, SarKernel kernel) {
-  if (resolve_sar_kernel(kernel) == SarKernel::kFast) {
+  if (kernel == SarKernel::kFast) {
     return sar_projection(SarGeometry::from(set, freq_hz), p, SarKernel::kFast);
   }
   // Exact kernel: the seed loop, bit-identical — sequential sample order,
@@ -95,7 +95,7 @@ double sar_projection(const DisentangledSet& set, const channel::Vec3& p,
 
 double sar_projection(const SarGeometry& geo, const channel::Vec3& p,
                       SarKernel kernel) {
-  if (resolve_sar_kernel(kernel) == SarKernel::kFast) {
+  if (kernel == SarKernel::kFast) {
     SarKernelArgs args;
     args.k = geo.k;
     args.px = geo.px.data();
@@ -140,8 +140,7 @@ SarGeometry SarGeometry::from(const DisentangledSet& set, double freq_hz) {
 Heatmap sar_heatmap(const DisentangledSet& set, const GridSpec& grid, double freq_hz,
                     double z_plane, unsigned threads, SarKernel kernel) {
   obs::Span heatmap_span("sar.heatmap");
-  const SarKernel resolved = resolve_sar_kernel(kernel);
-  const bool fast = resolved == SarKernel::kFast;
+  const bool fast = kernel == SarKernel::kFast;
   (fast ? sar_kernel_fast_calls() : sar_kernel_exact_calls()).inc();
 
   Heatmap map;
@@ -254,8 +253,7 @@ void sar_heatmap_multi(const SharedTrajectory& trajectory, const SharedGrid& gri
                        std::size_t count, unsigned threads, SarKernel kernel) {
   if (count == 0) return;
   obs::Span heatmap_span("sar.heatmap_multi");
-  const SarKernel resolved = resolve_sar_kernel(kernel);
-  const bool fast = resolved == SarKernel::kFast;
+  const bool fast = kernel == SarKernel::kFast;
   (fast ? sar_kernel_fast_calls() : sar_kernel_exact_calls()).inc();
 
   const double k = kTwoPi * freq_hz * 2.0 / kSpeedOfLight;  // round trip
@@ -344,7 +342,7 @@ SarAccumulator::SarAccumulator(const GridSpec& grid, double freq_hz,
     : grid_(grid),
       freq_hz_(freq_hz),
       z_plane_(z_plane),
-      kernel_(resolve_sar_kernel(kernel)),
+      kernel_(kernel),
       threads_(threads) {
   const std::size_t nx = grid_.nx();
   const std::size_t ny = grid_.ny();

@@ -68,8 +68,8 @@ struct SarGeometry {
 /// bit-identical for every thread count — with either kernel
 /// (tests/test_sar_parity.cpp covers the threads x kernel matrix).
 ///
-/// `kernel`: kExact reproduces the seed output bit-for-bit; kFast/kAuto
-/// run the SIMD kernel (identical argmax, values within ~1e-12 relative).
+/// `kernel`: kExact reproduces the seed output bit-for-bit; kFast runs
+/// the SIMD kernel (identical argmax, values within ~1e-12 relative).
 Heatmap sar_heatmap(const DisentangledSet& set, const GridSpec& grid, double freq_hz,
                     double z_plane = 0.0, unsigned threads = 0,
                     SarKernel kernel = SarKernel::kExact);

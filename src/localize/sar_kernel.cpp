@@ -29,8 +29,6 @@ const char* sar_kernel_name(SarKernel kernel) {
       return "exact";
     case SarKernel::kFast:
       return "fast";
-    case SarKernel::kAuto:
-      return "auto";
   }
   return "exact";
 }
@@ -38,12 +36,11 @@ const char* sar_kernel_name(SarKernel kernel) {
 bool parse_sar_kernel(const std::string& text, SarKernel& out) {
   if (text == "exact") return out = SarKernel::kExact, true;
   if (text == "fast") return out = SarKernel::kFast, true;
-  if (text == "auto") return out = SarKernel::kAuto, true;
   return false;
 }
 
-SarKernel resolve_sar_kernel(SarKernel kernel) {
-  return kernel == SarKernel::kAuto ? SarKernel::kFast : kernel;
+const char* sar_kernel_replacement(const std::string& text) {
+  return text == "auto" ? "fast" : nullptr;
 }
 
 const char* sar_search_name(SarSearch search) {

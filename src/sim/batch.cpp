@@ -203,8 +203,8 @@ class TaskRegistry {
 };
 
 /// Entries whose heatmaps live on one shared plane: same trajectory, scan
-/// grid, frequency, z plane, and resolved kernel — one blocked multi-tag
-/// sweep serves them all.
+/// grid, frequency, z plane, and kernel — one blocked multi-tag sweep
+/// serves them all.
 struct PlaneGroup {
   std::uint64_t digest = 0;
   std::vector<std::size_t> members;  // TaskEntry indices, deterministic order
@@ -217,9 +217,7 @@ std::uint64_t plane_digest(const TaskEntry& entry,
   state = digest_grid_spec(state, scan_grid);
   state = digest_double(state, entry.config.freq_hz);
   state = digest_double(state, entry.config.z_plane_m);
-  return digest_word(
-      state,
-      static_cast<std::uint64_t>(localize::resolve_sar_kernel(entry.config.kernel)));
+  return digest_word(state, static_cast<std::uint64_t>(entry.config.kernel));
 }
 
 bool planes_eq(const TaskEntry& a, const TaskEntry& b) {
@@ -227,8 +225,7 @@ bool planes_eq(const TaskEntry& a, const TaskEntry& b) {
                   localize::localize_scan_grid(b.config)) &&
          bits_eq(a.config.freq_hz, b.config.freq_hz) &&
          bits_eq(a.config.z_plane_m, b.config.z_plane_m) &&
-         localize::resolve_sar_kernel(a.config.kernel) ==
-             localize::resolve_sar_kernel(b.config.kernel) &&
+         a.config.kernel == b.config.kernel &&
          a.set.positions.size() == b.set.positions.size() &&
          (a.set.positions.empty() ||
           std::memcmp(a.set.positions.data(), b.set.positions.data(),

@@ -330,11 +330,12 @@ Expected<MissionRun> run_fleet_mission(const MissionInputs& inputs,
   reader::QAlgorithm q_algo(static_cast<double>(inputs.config.inventory.q));
   Rng inventory_rng(stream_seed(seed, kFleetInventoryStream));
   const auto outcome = core::run_inventory(agents, round, q_algo, inventory_rng);
+  std::vector<gen2::Epc> read = outcome.epcs;
+  std::sort(read.begin(), read.end());
   std::vector<bool> discovered(inputs.tags.size(), false);
   for (std::size_t i = 0; i < inputs.tags.size(); ++i) {
     discovered[i] =
-        std::find(outcome.epcs.begin(), outcome.epcs.end(),
-                  inputs.tags[i].config.epc) != outcome.epcs.end();
+        std::binary_search(read.begin(), read.end(), inputs.tags[i].config.epc);
   }
 
   // --- Sub-missions: one pipeline run per chain over its planned route and

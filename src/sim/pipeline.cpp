@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 
 #include "core/forward_plane.h"
 #include "drone/trajectory.h"
@@ -206,9 +205,9 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
   }
 
   // NOTE on determinism: everything below draws from this one Rng in the
-  // same order as the legacy run_scan_mission (fly, then per tag:
-  // inventory round, then channel collection). Stages time the work; they
-  // must not reorder it, or the report stops being bit-identical.
+  // seed mission's order (fly, then per tag: inventory round, then channel
+  // collection). Stages time the work; they must not reorder it, or the
+  // report stops being bit-identical.
   Rng rng(seed);
   core::RflySystem system(config.system, environment, reader_position);
   // The injector draws from its own stream (stream_seed(seed, ...)), never
@@ -231,21 +230,18 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
 
   // --- measure plane: hoist the per-waypoint forward-channel state once
   // per flight, shared across every tag below. Entirely RNG-free, so the
-  // mission Rng sequence (and with it the report) is untouched; `off` skips
-  // the hoist and keeps the seed's scalar loop.
-  const core::MeasurePlane plane_mode =
-      core::resolve_measure_plane(config.measure_plane);
-  std::optional<core::ForwardPlane> plane;
+  // mission Rng sequence (and with it the report) is untouched.
+  const bool fast_plane = config.measure_plane == core::MeasurePlane::kFast;
+  core::ForwardPlane plane;
   std::vector<core::SynthChannels> synth;
-  if (plane_mode != core::MeasurePlane::kOff && !flight.empty() &&
-      !tags.empty()) {
+  {
     StageTimer timer(run.trace, Stage::kMeasure);
     plane = core::ForwardPlane::build(system, flight);
-    if (plane_mode == core::MeasurePlane::kFast) {
+    if (fast_plane) {
       std::vector<Vec3> positions;
       positions.reserve(tags.size());
       for (const auto& placement : tags) positions.push_back(placement.position);
-      synth = core::synthesize_forward_channels(system, *plane, positions);
+      synth = core::synthesize_forward_channels(system, plane, positions);
     }
   }
 
@@ -319,11 +315,10 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
     {
       StageTimer timer(run.trace, Stage::kMeasure);
       auto collected =
-          !plane ? system.try_collect_measurements(flight, tags[i].position, rng)
-          : plane_mode == core::MeasurePlane::kFast
-              ? system.try_collect_measurements(flight, rng, *plane, synth[i])
+          fast_plane
+              ? system.try_collect_measurements(flight, rng, plane, synth[i])
               : system.try_collect_measurements(flight, tags[i].position, rng,
-                                                *plane);
+                                                plane);
       if (!collected) {
         item.status =
             collected.status().with_context("tag " + std::to_string(i));
@@ -563,29 +558,3 @@ Expected<MissionRun> run_scenario(const Scenario& scenario, std::uint64_t seed) 
 }
 
 }  // namespace rfly::sim
-
-namespace rfly::core {
-
-// Legacy entry point (declared in core/scan_mission.h): a thin adapter over
-// the staged pipeline that discards the stage trace. On mission-level error
-// it preserves the legacy contract as far as one existed: an empty-tag
-// mission still reports the flight length; an empty flight plan (which the
-// legacy code crashed on) yields an empty report.
-ScanReport run_scan_mission(const ScanMissionConfig& config,
-                            const channel::Environment& environment,
-                            const Vec3& reader_position,
-                            const std::vector<Vec3>& flight_plan,
-                            std::vector<TagPlacement>& tags,
-                            const InventoryDatabase& database,
-                            std::uint64_t seed) {
-  auto run = sim::run_mission_pipeline(config, environment, reader_position,
-                                       flight_plan, tags, database, seed);
-  if (!run) {
-    ScanReport report;
-    report.flight_length_m = drone::trajectory_length(flight_plan);
-    return report;
-  }
-  return std::move(run->report);
-}
-
-}  // namespace rfly::core

@@ -1,7 +1,7 @@
-// Staged scan-mission pipeline. The monolithic run_scan_mission body is
+// Staged scan-mission pipeline: the seed's monolithic mission body
 // decomposed into named stages — plan, fly, inventory, measure,
 // disentangle, localize, report — with per-stage wall-clock accounting and
-// typed per-item failure reasons, while reproducing the legacy mission
+// typed per-item failure reasons, while reproducing the seed mission
 // bit-for-bit: the stages are accounting boundaries around the same per-tag
 // interleaved execution order (a stage barrier would reorder the shared
 // Rng's draws and change every downstream sample).
@@ -87,7 +87,7 @@ struct InventoryOverride {
 /// search window) fail the whole run; per-item failures are recorded in
 /// each ScannedItem's `status` and do not. Deterministic given `seed`:
 /// with the default (all-zero) FaultConfig the report is bit-identical to
-/// the legacy core::run_scan_mission. With faults enabled, the injector
+/// the seed mission's. With faults enabled, the injector
 /// draws from its own seed-derived stream: per-stage bounded retries
 /// (faults.max_attempts) re-draw the fault pattern, and a tag localized
 /// from a partial aperture is reported localized with a kDegraded item

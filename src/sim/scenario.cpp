@@ -100,6 +100,8 @@ struct FieldDef {
   std::string key;
   std::function<std::string(const Scenario&)> get;
   std::function<bool(Scenario&, const std::string&)> set;
+  /// For knobs that lost values: what replaced a removed value, or nullptr.
+  const char* (*replacement)(const std::string&) = nullptr;
 };
 
 template <typename Ref>  // Ref: Scenario& -> double&
@@ -269,7 +271,8 @@ const std::vector<FieldDef>& registry() {
                  },
                  [](Scenario& s, const std::string& v) {
                    return localize::parse_sar_kernel(v, s.sar_kernel);
-                 }});
+                 },
+                 localize::sar_kernel_replacement});
     f.push_back({"localize.search",
                  [](const Scenario& s) {
                    return std::string(localize::sar_search_name(s.sar_search));
@@ -283,7 +286,8 @@ const std::vector<FieldDef>& registry() {
                  },
                  [](Scenario& s, const std::string& v) {
                    return core::parse_measure_plane(v, s.measure_plane);
-                 }});
+                 },
+                 core::measure_plane_replacement});
 
     f.push_back(double_field("faults.dropout",
                              [](Scenario& s) -> double& { return s.faults.dropout; }));
@@ -639,8 +643,11 @@ Status apply_override(Scenario& scenario, const std::string& key,
     return {StatusCode::kNotFound, "unknown scenario key '" + key + "'"};
   }
   if (!field->set(scenario, value)) {
-    return {StatusCode::kParseError,
-            "bad value '" + value + "' for key '" + key + "'"};
+    std::string message = "bad value '" + value + "' for key '" + key + "'";
+    if (const char* use = field->replacement ? field->replacement(value) : nullptr) {
+      message += ": '" + value + "' was removed; use '" + use + "'";
+    }
+    return {StatusCode::kParseError, std::move(message)};
   }
   return Status::ok();
 }

@@ -104,9 +104,8 @@ struct Scenario {
   unsigned localize_threads = 0;
   localize::SarKernel sar_kernel = localize::SarKernel::kExact;
   localize::SarSearch sar_search = localize::SarSearch::kExact;
-  /// Measurement-synthesis plane (`measure.plane = off|exact|fast|auto`);
-  /// auto resolves to exact, which is bit-identical to off.
-  core::MeasurePlane measure_plane = core::MeasurePlane::kAuto;
+  /// Measurement-synthesis plane (`measure.plane = exact|fast`).
+  core::MeasurePlane measure_plane = core::MeasurePlane::kExact;
 
   /// Fault model (`faults.*` keys). All rates default to zero: a scenario
   /// without faults keys runs bit-identically to one predating the layer.
@@ -139,7 +138,8 @@ Expected<Scenario> load_scenario_file(const std::string& path);
 
 /// Apply one `key=value` override (same keys as the serialized form;
 /// `leg = ...`, `tag = ...`, and `fleet.reader = ...` append). Unknown
-/// key -> kNotFound.
+/// key -> kNotFound; a bad value -> kParseError, naming the replacement
+/// when the value is one the format removed (`measure.plane = auto`).
 Status apply_override(Scenario& scenario, const std::string& key,
                       const std::string& value);
 

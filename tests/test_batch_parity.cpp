@@ -265,8 +265,7 @@ TEST_P(PlaneSubstitution, ReproducesLocalize2dFromBitwise) {
   // actually sweeps, evaluated by the same kernel.
   const localize::GridSpec scan = localize::localize_scan_grid(config);
   const localize::Heatmap plane = localize::sar_heatmap(
-      set, scan, config.freq_hz, config.z_plane_m, config.threads,
-      localize::resolve_sar_kernel(config.kernel));
+      set, scan, config.freq_hz, config.z_plane_m, config.threads, config.kernel);
   const auto planed = localize::localize_2d_with_plane(set, config, plane);
   ASSERT_TRUE(planed.ok()) << planed.status().to_string();
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "bench_util.h"
@@ -104,6 +107,34 @@ TEST(CliOptions, SeedFlagIsExplicitEvenWhenItIsOne) {
   ASSERT_TRUE(opts.parse(3, argv));
   EXPECT_EQ(opts.seed, 1u);
   EXPECT_TRUE(opts.seed_explicit);
+}
+
+// `auto` was removed from the kernel knob. A command line that still passes
+// it fails to parse — the bench exits 2 — with a message naming `fast`, the
+// kernel `auto` used to pick.
+TEST(CliOptions, KernelFlagRejectsRemovedAutoNamingFast) {
+  char prog[] = "bench";
+  char flag[] = "--kernel";
+  char value[] = "auto";
+  char* argv[] = {prog, flag, value};
+  CliOptions opts;
+  EXPECT_FALSE(opts.parse(3, argv));
+  EXPECT_EQ(opts.kernel, localize::SarKernel::kFast);  // default untouched
+  EXPECT_FALSE(opts.kernel_explicit);
+
+  const std::string err = ::testing::TempDir() + "/rfly_kernel_auto.txt";
+  const std::string command = std::string(RFLY_SCENARIO_RUNNER_PATH) +
+                              " --kernel auto > /dev/null 2> " + err;
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << command;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+  std::ifstream in(err);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("PARSE_ERROR"), std::string::npos) << text;
+  EXPECT_NE(text.find("'auto' was removed; use 'fast'"), std::string::npos)
+      << text;
+  std::remove(err.c_str());
 }
 
 TEST(Metrics, WriteCheckedReportsTypedIoError) {

@@ -254,12 +254,12 @@ TEST(CoarseToFine2d, HighestPeakMatchesFullSweep) {
   cfg.threads = 1;
   cfg.multires = false;
   cfg.search = SarSearch::kExact;
-  const auto full = localize_2d(measurements, cfg);
-  ASSERT_TRUE(full.has_value());
+  const auto full = localize_2d_checked(measurements, cfg);
+  ASSERT_TRUE(full.ok());
 
   cfg.search = SarSearch::kCoarseToFine;
-  const auto c2f = localize_2d(measurements, cfg);
-  ASSERT_TRUE(c2f.has_value());
+  const auto c2f = localize_2d_checked(measurements, cfg);
+  ASSERT_TRUE(c2f.ok());
   EXPECT_NEAR(c2f->x, full->x, cfg.grid.resolution_m / 2.0);
   EXPECT_NEAR(c2f->y, full->y, cfg.grid.resolution_m / 2.0);
   EXPECT_LE(c2f->peak_value, full->peak_value * (1.0 + 1e-12));

@@ -19,7 +19,7 @@ Heatmap make_map() {
 TEST(HeatmapIo, WritesValidPgm) {
   const auto map = make_map();
   const std::string path = ::testing::TempDir() + "/rfly_map.pgm";
-  ASSERT_TRUE(write_pgm(map, path));
+  ASSERT_TRUE(write_pgm_checked(map, path).is_ok());
 
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.good());
@@ -49,7 +49,7 @@ TEST(HeatmapIo, PgmRowZeroIsYMax) {
   map.values.assign(9, 0.0);
   map.values[2 * 3 + 0] = 1.0;  // grid (0, y_max)
   const std::string path = ::testing::TempDir() + "/rfly_top.pgm";
-  ASSERT_TRUE(write_pgm(map, path));
+  ASSERT_TRUE(write_pgm_checked(map, path).is_ok());
   std::ifstream in(path, std::ios::binary);
   std::string magic;
   std::size_t w, h;
@@ -64,15 +64,14 @@ TEST(HeatmapIo, PgmRowZeroIsYMax) {
 
 TEST(HeatmapIo, EmptyMapFails) {
   Heatmap empty;
-  EXPECT_FALSE(write_pgm(empty, ::testing::TempDir() + "/never.pgm"));
-  // The typed variant says why: the map is bad, not the filesystem.
+  // The status says why: the map is bad, not the filesystem.
   const Status status =
       write_pgm_checked(empty, ::testing::TempDir() + "/never.pgm");
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-// A --heatmap-out path into a missing/unwritable directory used to be a
-// bare `false`; the typed variant names the path and the errno cause.
+// A --heatmap-out path into a missing/unwritable directory names the path
+// and the errno cause.
 TEST(HeatmapIo, UnwritableDirectoryIsTypedIoError) {
   const auto map = make_map();
   const std::string path = "/no/such/dir/rfly_map.pgm";
@@ -80,7 +79,6 @@ TEST(HeatmapIo, UnwritableDirectoryIsTypedIoError) {
   EXPECT_EQ(status.code(), StatusCode::kIoError);
   EXPECT_NE(status.to_string().find(path), std::string::npos)
       << status.to_string();
-  EXPECT_FALSE(write_pgm(map, path));
 }
 
 TEST(HeatmapIo, CheckedWriteSucceedsOnWritablePath) {

@@ -196,8 +196,8 @@ TEST(Localizer, EndToEndCleanScene) {
   cfg.grid.y_min = -1;
   cfg.grid.y_max = 2;
   cfg.grid.resolution_m = 0.01;
-  const auto result = localize_2d(set, cfg);
-  ASSERT_TRUE(result.has_value());
+  const auto result = localize_2d_checked(set, cfg);
+  ASSERT_TRUE(result.ok());
   EXPECT_NEAR(std::hypot(result->x - tag.x, result->y - tag.y), 0.0, 0.05);
   EXPECT_EQ(result->measurements_used, 40u);
 }
@@ -225,11 +225,11 @@ TEST(Localizer, MultipathGhostRejected) {
   cfg.peak_threshold_fraction = 0.35;
 
   cfg.selection = PeakSelection::kHighest;
-  const auto naive = localize_2d(set, cfg);
+  const auto naive = localize_2d_checked(set, cfg);
   cfg.selection = PeakSelection::kNearestToTrajectory;
-  const auto rfly = localize_2d(set, cfg);
-  ASSERT_TRUE(naive.has_value());
-  ASSERT_TRUE(rfly.has_value());
+  const auto rfly = localize_2d_checked(set, cfg);
+  ASSERT_TRUE(naive.ok());
+  ASSERT_TRUE(rfly.ok());
 
   const double naive_err = std::hypot(naive->x - tag.x, naive->y - tag.y);
   const double rfly_err = std::hypot(rfly->x - tag.x, rfly->y - tag.y);
@@ -255,17 +255,17 @@ TEST(Localizer, MultiresMatchesFullScan) {
   cfg.grid.resolution_m = 0.01;
 
   cfg.multires = false;
-  const auto full = localize_2d(set, cfg);
+  const auto full = localize_2d_checked(set, cfg);
   cfg.multires = true;
-  const auto fast = localize_2d(set, cfg);
-  ASSERT_TRUE(full.has_value());
-  ASSERT_TRUE(fast.has_value());
+  const auto fast = localize_2d_checked(set, cfg);
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(fast.ok());
   EXPECT_NEAR(full->x, fast->x, 0.03);
   EXPECT_NEAR(full->y, fast->y, 0.03);
 }
 
 TEST(Localizer, NoMeasurementsReturnsNullopt) {
-  EXPECT_FALSE(localize_2d({}, LocalizerConfig{}).has_value());
+  EXPECT_FALSE(localize_2d_checked({}, LocalizerConfig{}).ok());
 }
 
 TEST(Localizer, NoisyChannelsStillLocalize) {
@@ -281,8 +281,8 @@ TEST(Localizer, NoisyChannelsStillLocalize) {
   cfg.grid.x_max = 6;
   cfg.grid.y_min = -0.5;
   cfg.grid.y_max = 1.5;
-  const auto result = localize_2d(set, cfg);
-  ASSERT_TRUE(result.has_value());
+  const auto result = localize_2d_checked(set, cfg);
+  ASSERT_TRUE(result.ok());
   EXPECT_LT(std::hypot(result->x - tag.x, result->y - tag.y), 0.15);
 }
 
@@ -340,7 +340,9 @@ TEST(Localize3d, RecoversHeightWith2dTrajectory) {
   vol.z_min = 0.0;
   vol.z_max = 1.0;
   vol.resolution_m = 0.05;
-  const auto result = localize_3d(set, vol, kF2);
+  Localize3dConfig cfg;
+  cfg.freq_hz = kF2;
+  const auto result = localize_3d(set, vol, cfg);
   ASSERT_TRUE(result.has_value());
   EXPECT_NEAR(result->position.x, tag.x, 0.1);
   EXPECT_NEAR(result->position.y, tag.y, 0.1);
@@ -362,8 +364,8 @@ TEST_P(SarPlacementProperty, SubCentimeterOnCleanScenes) {
   cfg.grid.x_max = 7;
   cfg.grid.y_min = -1;
   cfg.grid.y_max = 2;
-  const auto result = localize_2d(set, cfg);
-  ASSERT_TRUE(result.has_value());
+  const auto result = localize_2d_checked(set, cfg);
+  ASSERT_TRUE(result.ok());
   EXPECT_LT(std::hypot(result->x - tag.x, result->y - tag.y), 0.05);
 }
 

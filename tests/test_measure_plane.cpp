@@ -1,21 +1,23 @@
 // Measurement-synthesis plane suite (`measure` label), pinned layer by
 // layer:
 //
-//   - Exact plane collect: bit-identical to the seed's scalar
-//     try_collect_measurements — values, statuses, and rng consumption —
-//     via direct calls over a flown trajectory.
-//   - RNG draw-order golden: the collect loop's documented draw contract
-//     (no shadowing; 2 ripple + 4 noise gaussians per surviving point, in
-//     flight order; skipped points draw nothing; gated by the ripple stds
-//     and the estimate sigma) reconstructed draw by draw from a fresh Rng.
+//   - Exact plane collect: bit-identical to the seed's per-point collect
+//     loop — values, statuses, and rng consumption. The seed loop lives
+//     here as the oracle (seed_collect below); the library ships only the
+//     plane-backed loop.
+//   - RNG draw-order golden: the production collect's documented draw
+//     contract (no shadowing; 2 ripple + 4 noise gaussians per surviving
+//     point, in flight order; skipped points draw nothing; gated by the
+//     ripple stds and the estimate sigma) reconstructed draw by draw from a
+//     fresh Rng.
 //   - Forward kernels: the one scalar build is listed and active; fast
 //     synthesis tracks the exact channels to tight relative tolerance with
 //     identical readable sets.
-//   - Scenario knob `measure.plane`: names, parse, auto resolution,
+//   - Scenario knob `measure.plane`: names, parse, removed values,
 //     serialize/parse round-trip, override.
-//   - The full-mission parity matrix: measure.plane=exact reports are
-//     bit-identical to measure.plane=off across {threads 1/2/8} x
-//     {batched, per-mission} x {faults on/off}.
+//   - The full-mission parity matrix: measure.plane=exact reports reproduce
+//     the digests the seed loop's missions produced, across {threads 1/2/8}
+//     x {batched, per-mission} x {faults on/off}.
 //   - The plane's cost contract: each build charges one channel eval per
 //     waypoint, and every single-relay mission builds exactly one plane.
 //
@@ -40,6 +42,7 @@
 #include "drone/trajectory.h"
 #include "localize/measurement.h"
 #include "obs/metrics.h"
+#include "service/wire.h"
 #include "sim/batch.h"
 
 namespace rfly {
@@ -69,13 +72,53 @@ Fixture make_fixture(std::uint64_t seed, core::SystemConfig config = {}) {
       {{3.0, 2.0, 0.5}, {5.0, 2.2, 0.8}, {7.0, 1.8, 0.5}}};
 }
 
-/// The scalar loop's skip conditions, verbatim — the reference for which
+/// The seed loop's skip conditions, verbatim — the reference for which
 /// points survive.
 bool point_survives(const core::RflySystem& system, const Vec3& actual,
                     const Vec3& tag) {
   const auto& cfg = system.config();
   return system.tag_incident_power_dbm(actual, tag) >= cfg.tag.sensitivity_dbm &&
          system.reply_snr_db(actual, tag) >= cfg.decode_snr_threshold_db;
+}
+
+/// The seed's collect loop, the oracle for the plane: every per-waypoint
+/// quantity is re-derived per point per tag through RflySystem's public
+/// methods, then the documented ripple and noise draws follow.
+Expected<localize::MeasurementSet> seed_collect(
+    const core::RflySystem& system, const std::vector<drone::FlownPoint>& flight,
+    const Vec3& tag, Rng& rng) {
+  if (flight.empty()) {
+    return Status{StatusCode::kEmptyFlightPlan,
+                  "cannot collect measurements over an empty flight"};
+  }
+  const auto& cfg = system.config();
+  localize::MeasurementSet set;
+  const double sigma = system.estimate_noise_sigma();
+  for (const auto& point : flight) {
+    if (!point_survives(system, point.actual, tag)) continue;
+    localize::RelayMeasurement m;
+    m.relay_position = point.reported;
+    m.target_channel = system.measured_target_channel(point.actual, tag);
+    m.embedded_channel = system.measured_embedded_channel(point.actual);
+    if (cfg.amplitude_ripple_std_db > 0.0 || cfg.phase_ripple_std_rad > 0.0) {
+      m.target_channel *=
+          db_to_amplitude(rng.gaussian(0.0, cfg.amplitude_ripple_std_db)) *
+          cis(rng.gaussian(0.0, cfg.phase_ripple_std_rad));
+    }
+    if (sigma > 0.0) {
+      m.target_channel += cdouble{rng.gaussian(0.0, sigma / std::sqrt(2.0)),
+                                  rng.gaussian(0.0, sigma / std::sqrt(2.0))};
+      m.embedded_channel += cdouble{rng.gaussian(0.0, sigma / std::sqrt(2.0)),
+                                    rng.gaussian(0.0, sigma / std::sqrt(2.0))};
+    }
+    set.push_back(m);
+  }
+  if (set.empty()) {
+    return Status{StatusCode::kInsufficientData,
+                  "tag unpowered or undecodable at all " +
+                      std::to_string(flight.size()) + " flight points"};
+  }
+  return set;
 }
 
 std::size_t surviving_count(const Fixture& f, const Vec3& tag) {
@@ -93,7 +136,7 @@ TEST(ExactPlane, CollectIsBitIdenticalToScalar) {
   const auto plane = core::ForwardPlane::build(f.system, f.flight);
   for (const Vec3& tag : f.tags) {
     Rng scalar_rng(7), plane_rng(7);
-    const auto scalar = f.system.try_collect_measurements(f.flight, tag, scalar_rng);
+    const auto scalar = seed_collect(f.system, f.flight, tag, scalar_rng);
     const auto planed =
         f.system.try_collect_measurements(f.flight, tag, plane_rng, plane);
     ASSERT_TRUE(scalar.ok()) << scalar.status().to_string();
@@ -111,7 +154,7 @@ TEST(ExactPlane, StatusesMatchScalar) {
   const auto plane = core::ForwardPlane::build(f.system, f.flight);
 
   Rng ra(1), rb(1);
-  const auto scalar_empty = f.system.try_collect_measurements({}, f.tags[0], ra);
+  const auto scalar_empty = seed_collect(f.system, {}, f.tags[0], ra);
   const core::ForwardPlane empty_plane;
   const auto plane_empty =
       f.system.try_collect_measurements({}, f.tags[0], rb, empty_plane);
@@ -123,7 +166,7 @@ TEST(ExactPlane, StatusesMatchScalar) {
   // A tag far outside the relay's reach: every point dropped, identical
   // kInsufficientData text (it embeds the flight size).
   const Vec3 unreachable{11.5, 9.5, 0.1};
-  const auto scalar_bad = f.system.try_collect_measurements(f.flight, unreachable, ra);
+  const auto scalar_bad = seed_collect(f.system, f.flight, unreachable, ra);
   const auto plane_bad =
       f.system.try_collect_measurements(f.flight, unreachable, rb, plane);
   ASSERT_FALSE(scalar_bad.ok());
@@ -302,30 +345,28 @@ TEST(ForwardKernels, VariantListIsSaneAndDispatchPicksSupported) {
 
 TEST(MeasurePlaneKnob, NamesParseAndResolve) {
   using core::MeasurePlane;
-  EXPECT_STREQ(core::measure_plane_name(MeasurePlane::kOff), "off");
   EXPECT_STREQ(core::measure_plane_name(MeasurePlane::kExact), "exact");
   EXPECT_STREQ(core::measure_plane_name(MeasurePlane::kFast), "fast");
-  EXPECT_STREQ(core::measure_plane_name(MeasurePlane::kAuto), "auto");
 
-  MeasurePlane mode = MeasurePlane::kOff;
+  MeasurePlane mode = MeasurePlane::kExact;
   EXPECT_TRUE(core::parse_measure_plane("fast", mode));
   EXPECT_EQ(mode, MeasurePlane::kFast);
-  EXPECT_TRUE(core::parse_measure_plane("auto", mode));
-  EXPECT_EQ(mode, MeasurePlane::kAuto);
+  EXPECT_TRUE(core::parse_measure_plane("exact", mode));
+  EXPECT_EQ(mode, MeasurePlane::kExact);
   EXPECT_FALSE(core::parse_measure_plane("Fast", mode));
   EXPECT_FALSE(core::parse_measure_plane("", mode));
-  EXPECT_EQ(mode, MeasurePlane::kAuto);  // failed parse leaves `out` alone
-
-  // auto must resolve to exact: the default pipeline stays bit-identical.
-  EXPECT_EQ(core::resolve_measure_plane(MeasurePlane::kAuto), MeasurePlane::kExact);
-  EXPECT_EQ(core::resolve_measure_plane(MeasurePlane::kOff), MeasurePlane::kOff);
-  EXPECT_EQ(core::resolve_measure_plane(MeasurePlane::kExact), MeasurePlane::kExact);
-  EXPECT_EQ(core::resolve_measure_plane(MeasurePlane::kFast), MeasurePlane::kFast);
+  // The removed names no longer parse; each names its replacement.
+  for (const char* removed : {"off", "auto"}) {
+    EXPECT_FALSE(core::parse_measure_plane(removed, mode)) << removed;
+    EXPECT_STREQ(core::measure_plane_replacement(removed), "exact") << removed;
+  }
+  EXPECT_EQ(core::measure_plane_replacement("bogus"), nullptr);
+  EXPECT_EQ(mode, MeasurePlane::kExact);  // failed parse leaves `out` alone
 }
 
 TEST(MeasurePlaneKnob, ScenarioRoundTripsAndOverrides) {
   auto scenario = *sim::preset("building");
-  EXPECT_EQ(scenario.measure_plane, core::MeasurePlane::kAuto);
+  EXPECT_EQ(scenario.measure_plane, core::MeasurePlane::kExact);
   ASSERT_TRUE(
       sim::apply_override(scenario, "measure.plane", "fast").is_ok());
   EXPECT_EQ(scenario.measure_plane, core::MeasurePlane::kFast);
@@ -338,52 +379,7 @@ TEST(MeasurePlaneKnob, ScenarioRoundTripsAndOverrides) {
       sim::apply_override(scenario, "measure.plane", "bogus").is_ok());
 }
 
-// --- Legacy wrapper counter ----------------------------------------------
-
-TEST(CollectMeasurements, LegacyWrapperCountsSwallowedFailures) {
-  const auto f = make_fixture(31);
-  auto& failures = obs::counter("measure.synth.failures");
-  const std::uint64_t before = failures.value();
-  Rng rng(1);
-  const auto set = f.system.collect_measurements({}, f.tags[0], rng);
-  EXPECT_TRUE(set.empty());
-  if (obs::kEnabled) {
-    EXPECT_EQ(failures.value() - before, 1u);
-  }
-}
-
 // --- Full-mission parity matrix ------------------------------------------
-
-void expect_reports_identical(const core::ScanReport& a, const core::ScanReport& b) {
-  EXPECT_EQ(a.discovered, b.discovered);
-  EXPECT_EQ(a.localized, b.localized);
-  ASSERT_EQ(a.items.size(), b.items.size());
-  for (std::size_t i = 0; i < a.items.size(); ++i) {
-    EXPECT_EQ(a.items[i].discovered, b.items[i].discovered) << "item " << i;
-    EXPECT_EQ(a.items[i].localized, b.items[i].localized) << "item " << i;
-    EXPECT_EQ(a.items[i].measurements, b.items[i].measurements) << "item " << i;
-    EXPECT_EQ(a.items[i].estimate.x, b.items[i].estimate.x) << "item " << i;
-    EXPECT_EQ(a.items[i].estimate.y, b.items[i].estimate.y) << "item " << i;
-    EXPECT_EQ(a.items[i].status.code(), b.items[i].status.code()) << "item " << i;
-    EXPECT_EQ(a.items[i].status.to_string(), b.items[i].status.to_string())
-        << "item " << i;
-  }
-}
-
-void expect_results_identical(const std::vector<sim::BatchResult>& a,
-                              const std::vector<sim::BatchResult>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].seed, b[i].seed) << "job " << i;
-    EXPECT_EQ(a[i].status.to_string(), b[i].status.to_string()) << "job " << i;
-    if (!a[i].status.is_ok()) continue;
-    EXPECT_EQ(a[i].run.health.to_string(), b[i].run.health.to_string())
-        << "job " << i;
-    EXPECT_EQ(a[i].run.aperture_coverage, b[i].run.aperture_coverage)
-        << "job " << i;
-    expect_reports_identical(a[i].run.report, b[i].run.report);
-  }
-}
 
 sim::Scenario matrix_scenario() {
   auto scenario = *sim::preset("building");
@@ -399,22 +395,38 @@ struct MeasureMatrixCase {
 
 class ExactPlaneMatrix : public ::testing::TestWithParam<MeasureMatrixCase> {};
 
+/// service::deterministic_digest of each matrix job, recorded from missions
+/// that ran the seed's per-point collect loop (identical in every cell).
+/// That loop built no plane, so its missions counted one measure-stage
+/// invocation fewer; the test takes the plane build back out of the stage
+/// trace and demands everything else — every report field, status and
+/// fault tally — bit for bit.
+struct SeedDigests {
+  std::uint64_t seed11;
+  std::uint64_t seed12;
+};
+constexpr SeedDigests kSeedLoopDigests = {0x4a5f9ca73d7a764eull,
+                                          0x5ad0736016250c20ull};
+constexpr SeedDigests kSeedLoopDigestsFaults = {0xa61a4888229bc960ull,
+                                                0x0badf0c6dd5aedb1ull};
+
 TEST_P(ExactPlaneMatrix, BitIdenticalToScalarCollect) {
   const MeasureMatrixCase c = GetParam();
-  sim::Scenario on = matrix_scenario();
-  on.measure_plane = core::MeasurePlane::kExact;
-  sim::Scenario off = matrix_scenario();
-  off.measure_plane = core::MeasurePlane::kOff;
-  if (c.faults) {
-    on.faults.dropout = 0.2;
-    off.faults.dropout = 0.2;
-  }
-  const std::vector<sim::BatchJob> jobs_on{{on, 11}, {on, 12}, {on, 11}};
-  const std::vector<sim::BatchJob> jobs_off{{off, 11}, {off, 12}, {off, 11}};
+  sim::Scenario scenario = matrix_scenario();
+  ASSERT_EQ(scenario.measure_plane, core::MeasurePlane::kExact);
+  if (c.faults) scenario.faults.dropout = 0.2;
+  const SeedDigests want = c.faults ? kSeedLoopDigestsFaults : kSeedLoopDigests;
+  const std::vector<sim::BatchJob> jobs{{scenario, 11}, {scenario, 12}, {scenario, 11}};
+  const std::uint64_t expected[] = {want.seed11, want.seed12, want.seed11};
 
-  const auto with_plane = sim::run_batch(jobs_on, {c.threads, c.mode});
-  const auto without = sim::run_batch(jobs_off, {c.threads, c.mode});
-  expect_results_identical(with_plane, without);
+  const auto results = sim::run_batch(jobs, {c.threads, c.mode});
+  ASSERT_EQ(results.size(), jobs.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].status.is_ok()) << results[i].status.to_string();
+    sim::BatchResult seed_view = results[i];
+    --seed_view.run.trace[static_cast<std::size_t>(sim::Stage::kMeasure)].invocations;
+    EXPECT_EQ(service::deterministic_digest(seed_view), expected[i]) << "job " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -17,40 +17,6 @@ std::vector<core::TagPlacement> aisle_tags(int n, double aisle_y) {
   return tags;
 }
 
-// The acceptance bar for the refactor: the legacy wrapper and the staged
-// pipeline must produce bit-identical reports from identical inputs.
-TEST(Pipeline, WrapperAndPipelineAreBitIdentical) {
-  core::ScanMissionConfig cfg;
-  channel::Environment env;
-  core::InventoryDatabase db;
-  auto tags_wrapper = aisle_tags(3, 10.0);
-  auto tags_pipeline = aisle_tags(3, 10.0);
-  db.add(tags_wrapper[0].config.epc, "alpha");
-  const auto plan =
-      drone::linear_trajectory({4.0, 12.0, 1.2}, {24.0, 12.3, 1.2}, 120);
-
-  const auto legacy = core::run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan,
-                                             tags_wrapper, db, 1);
-  const auto staged = run_mission_pipeline(cfg, env, {0.0, 0.0, 2.0}, plan,
-                                           tags_pipeline, db, 1);
-  ASSERT_TRUE(staged.ok()) << staged.status().to_string();
-
-  const auto& report = staged->report;
-  EXPECT_EQ(legacy.discovered, report.discovered);
-  EXPECT_EQ(legacy.localized, report.localized);
-  EXPECT_DOUBLE_EQ(legacy.flight_length_m, report.flight_length_m);
-  ASSERT_EQ(legacy.items.size(), report.items.size());
-  for (std::size_t i = 0; i < legacy.items.size(); ++i) {
-    EXPECT_EQ(legacy.items[i].epc, report.items[i].epc);
-    EXPECT_EQ(legacy.items[i].description, report.items[i].description);
-    EXPECT_EQ(legacy.items[i].discovered, report.items[i].discovered);
-    EXPECT_EQ(legacy.items[i].localized, report.items[i].localized);
-    EXPECT_EQ(legacy.items[i].measurements, report.items[i].measurements);
-    EXPECT_EQ(legacy.items[i].estimate.x, report.items[i].estimate.x);
-    EXPECT_EQ(legacy.items[i].estimate.y, report.items[i].estimate.y);
-  }
-}
-
 TEST(Pipeline, EmptyFlightPlanIsTypedError) {
   core::ScanMissionConfig cfg;
   channel::Environment env;
@@ -61,12 +27,6 @@ TEST(Pipeline, EmptyFlightPlanIsTypedError) {
   const auto run = run_mission_pipeline(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 1);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kEmptyFlightPlan);
-
-  // The legacy wrapper (which used to crash on this input) now degrades to
-  // an empty report.
-  const auto report = core::run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 1);
-  EXPECT_TRUE(report.items.empty());
-  EXPECT_EQ(report.discovered, 0u);
 }
 
 TEST(Pipeline, EmptyPopulationIsTypedError) {
@@ -79,11 +39,6 @@ TEST(Pipeline, EmptyPopulationIsTypedError) {
   const auto run = run_mission_pipeline(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 1);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kEmptyPopulation);
-
-  // Legacy contract: an empty-tag mission still reports the flight length.
-  const auto report = core::run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 1);
-  EXPECT_TRUE(report.items.empty());
-  EXPECT_DOUBLE_EQ(report.flight_length_m, drone::trajectory_length(plan));
 }
 
 TEST(Pipeline, FullyClippedGridIsTypedError) {

@@ -257,12 +257,13 @@ TEST(LocalizationProperty, TranslationEquivariance) {
     perfect.noise_std_m = 0.0;
     const auto flight = drone::fly(plan, no_jitter, perfect, rng);
     const auto set =
-        sys.collect_measurements(flight, {ox + 10.0, oy + 5.0, 0.0}, rng);
+        sys.try_collect_measurements(flight, {ox + 10.0, oy + 5.0, 0.0}, rng);
+    EXPECT_TRUE(set.ok()) << set.status().to_string();
     localize::LocalizerConfig loc;
     loc.freq_hz = cfg.carrier_hz + cfg.freq_shift_hz;
     loc.grid = {ox + 8.0, ox + 12.0, oy + 3.5, oy + 6.5, 0.01};
-    const auto result = localize::localize_2d(set, loc);
-    EXPECT_TRUE(result.has_value());
+    const auto result = localize::localize_2d_checked(set.value_or({}), loc);
+    EXPECT_TRUE(result.ok());
     return std::pair<double, double>{result->x - ox, result->y - oy};
   };
   const auto base = run_scene(0.0, 0.0);
@@ -294,10 +295,11 @@ TEST(LocalizationProperty, DisentanglementRemovesReaderGeometry) {
   const auto flight = drone::fly(plan, no_jitter, perfect, rng1);
   const auto flight2 = drone::fly(plan, no_jitter, perfect, rng2);
 
-  const auto set_a = near_sys.collect_measurements(flight, {10, 5, 0}, rng1);
-  const auto set_b = far_sys.collect_measurements(flight2, {10, 5, 0}, rng2);
-  const auto iso_a = localize::disentangle(set_a);
-  const auto iso_b = localize::disentangle(set_b);
+  const auto set_a = near_sys.try_collect_measurements(flight, {10, 5, 0}, rng1);
+  const auto set_b = far_sys.try_collect_measurements(flight2, {10, 5, 0}, rng2);
+  ASSERT_TRUE(set_a && set_b);
+  const auto iso_a = localize::disentangle(*set_a);
+  const auto iso_b = localize::disentangle(*set_b);
   ASSERT_EQ(iso_a.channels.size(), iso_b.channels.size());
   for (std::size_t i = 0; i < iso_a.channels.size(); ++i) {
     // Up to the (common) uplink-gain saturation differences, the isolated

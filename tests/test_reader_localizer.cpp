@@ -72,13 +72,14 @@ TEST(ReaderLocalizer, WorksOnSystemGeneratedMeasurements) {
   const auto flight =
       drone::fly(plan, drone::FlightConfig{}, drone::optitrack_tracking(), rng);
   // Any tag close enough to keep measurements flowing.
-  const auto set = system.collect_measurements(flight, {3.5, 5.0, 0.0}, rng);
-  ASSERT_GT(set.size(), 10u);
+  const auto set = system.try_collect_measurements(flight, {3.5, 5.0, 0.0}, rng);
+  ASSERT_TRUE(set.ok()) << set.status().to_string();
+  ASSERT_GT(set->size(), 10u);
 
   ReaderLocalizerConfig cfg;
   cfg.grid = {0.0, 7.0, -1.0, 5.0, 0.01};
   cfg.z_plane_m = reader.z;
-  const auto result = localize_reader_2d(set, cfg);
+  const auto result = localize_reader_2d(*set, cfg);
   ASSERT_TRUE(result.has_value());
   EXPECT_LT(std::hypot(result->x - reader.x, result->y - reader.y), 0.2);
 }

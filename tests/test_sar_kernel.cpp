@@ -160,11 +160,11 @@ TEST_P(FastVsExact, RefinedPeakWithinTenthOfResolution) {
   cfg.grid = {-1.0, 3.5, -0.5, 2.5, 0.01};
   cfg.threads = 1;
   cfg.kernel = SarKernel::kExact;
-  const auto exact = localize_2d(measurements, cfg);
-  ASSERT_TRUE(exact.has_value());
+  const auto exact = localize_2d_checked(measurements, cfg);
+  ASSERT_TRUE(exact.ok());
   cfg.kernel = SarKernel::kFast;
-  const auto fast = localize_2d(measurements, cfg);
-  ASSERT_TRUE(fast.has_value());
+  const auto fast = localize_2d_checked(measurements, cfg);
+  ASSERT_TRUE(fast.ok());
   const double dist = std::hypot(fast->x - exact->x, fast->y - exact->y);
   EXPECT_LT(dist, cfg.grid.resolution_m / 10.0);
 }
@@ -283,7 +283,7 @@ TEST(GridAxisCells, GridSpecAxesDelegate) {
 // --- Kernel knob plumbing -------------------------------------------------
 
 TEST(KernelKnob, NamesRoundTrip) {
-  for (SarKernel k : {SarKernel::kExact, SarKernel::kFast, SarKernel::kAuto}) {
+  for (SarKernel k : {SarKernel::kExact, SarKernel::kFast}) {
     SarKernel parsed{};
     ASSERT_TRUE(parse_sar_kernel(sar_kernel_name(k), parsed));
     EXPECT_EQ(parsed, k);
@@ -292,12 +292,10 @@ TEST(KernelKnob, NamesRoundTrip) {
   EXPECT_FALSE(parse_sar_kernel("", parsed));
   EXPECT_FALSE(parse_sar_kernel("EXACT", parsed));
   EXPECT_FALSE(parse_sar_kernel("fastest", parsed));
-}
-
-TEST(KernelKnob, AutoResolvesToFastOthersUnchanged) {
-  EXPECT_EQ(resolve_sar_kernel(SarKernel::kAuto), SarKernel::kFast);
-  EXPECT_EQ(resolve_sar_kernel(SarKernel::kExact), SarKernel::kExact);
-  EXPECT_EQ(resolve_sar_kernel(SarKernel::kFast), SarKernel::kFast);
+  // The removed alias no longer parses; it names its replacement.
+  EXPECT_FALSE(parse_sar_kernel("auto", parsed));
+  EXPECT_STREQ(sar_kernel_replacement("auto"), "fast");
+  EXPECT_EQ(sar_kernel_replacement("fastest"), nullptr);
 }
 
 TEST(KernelKnob, ScenarioFieldRoundTrips) {
@@ -318,8 +316,8 @@ TEST(KernelKnob, ScenarioFieldRoundTrips) {
 TEST(KernelKnob, ScenarioOverrideParses) {
   auto scenario = sim::preset("building");
   ASSERT_TRUE(scenario.ok());
-  ASSERT_TRUE(sim::apply_override(*scenario, "localize.sar_kernel", "auto").is_ok());
-  EXPECT_EQ(scenario->sar_kernel, SarKernel::kAuto);
+  ASSERT_TRUE(sim::apply_override(*scenario, "localize.sar_kernel", "fast").is_ok());
+  EXPECT_EQ(scenario->sar_kernel, SarKernel::kFast);
   EXPECT_FALSE(
       sim::apply_override(*scenario, "localize.sar_kernel", "bogus").is_ok());
 }

@@ -97,12 +97,12 @@ TEST_P(SarParity, Localize2dPicksIdenticalPeak) {
   cfg.freq_hz = kFreq;
   cfg.grid = {-1.0, 3.5, -0.5, 2.5, 0.01};
   cfg.threads = 1;
-  const auto serial = localize_2d(measurements, cfg);
-  ASSERT_TRUE(serial.has_value());
+  const auto serial = localize_2d_checked(measurements, cfg);
+  ASSERT_TRUE(serial.ok());
   for (unsigned threads : kThreadCounts) {
     cfg.threads = threads;
-    const auto par = localize_2d(measurements, cfg);
-    ASSERT_TRUE(par.has_value()) << threads << " threads";
+    const auto par = localize_2d_checked(measurements, cfg);
+    ASSERT_TRUE(par.ok()) << threads << " threads";
     EXPECT_DOUBLE_EQ(par->x, serial->x) << threads << " threads";
     EXPECT_DOUBLE_EQ(par->y, serial->y) << threads << " threads";
     EXPECT_DOUBLE_EQ(par->peak_value, serial->peak_value) << threads << " threads";
@@ -126,10 +126,14 @@ TEST_P(SarParity, Localize3dPicksIdenticalPeak) {
   vol.z_min = 0.0;
   vol.z_max = 1.0;
   vol.resolution_m = 0.05;
-  const auto serial = localize_3d(measurements, vol, kFreq, /*threads=*/1);
+  Localize3dConfig cfg;
+  cfg.freq_hz = kFreq;
+  cfg.threads = 1;
+  const auto serial = localize_3d(measurements, vol, cfg);
   ASSERT_TRUE(serial.has_value());
   for (unsigned threads : kThreadCounts) {
-    const auto par = localize_3d(measurements, vol, kFreq, threads);
+    cfg.threads = threads;
+    const auto par = localize_3d(measurements, vol, cfg);
     ASSERT_TRUE(par.has_value()) << threads << " threads";
     EXPECT_DOUBLE_EQ(par->position.x, serial->position.x) << threads << " threads";
     EXPECT_DOUBLE_EQ(par->position.y, serial->position.y) << threads << " threads";
@@ -174,12 +178,12 @@ TEST_P(SarKernelParity, Localize2dBitIdenticalAcrossThreadCounts) {
   cfg.grid = {-1.0, 3.5, -0.5, 2.5, 0.01};
   cfg.kernel = kernel;
   cfg.threads = 1;
-  const auto serial = localize_2d(measurements, cfg);
-  ASSERT_TRUE(serial.has_value());
+  const auto serial = localize_2d_checked(measurements, cfg);
+  ASSERT_TRUE(serial.ok());
   for (unsigned threads : kThreadCounts) {
     cfg.threads = threads;
-    const auto par = localize_2d(measurements, cfg);
-    ASSERT_TRUE(par.has_value()) << threads << " threads";
+    const auto par = localize_2d_checked(measurements, cfg);
+    ASSERT_TRUE(par.ok()) << threads << " threads";
     EXPECT_DOUBLE_EQ(par->x, serial->x) << threads << " threads";
     EXPECT_DOUBLE_EQ(par->y, serial->y) << threads << " threads";
     EXPECT_DOUBLE_EQ(par->peak_value, serial->peak_value) << threads << " threads";
@@ -217,12 +221,12 @@ TEST_P(SarSearchParity, Localize2dBitIdenticalAcrossThreadCounts) {
   cfg.kernel = kernel;
   cfg.search = search;
   cfg.threads = 1;
-  const auto serial = localize_2d(measurements, cfg);
-  ASSERT_TRUE(serial.has_value());
+  const auto serial = localize_2d_checked(measurements, cfg);
+  ASSERT_TRUE(serial.ok());
   for (unsigned threads : kThreadCounts) {
     cfg.threads = threads;
-    const auto par = localize_2d(measurements, cfg);
-    ASSERT_TRUE(par.has_value()) << threads << " threads";
+    const auto par = localize_2d_checked(measurements, cfg);
+    ASSERT_TRUE(par.ok()) << threads << " threads";
     EXPECT_DOUBLE_EQ(par->x, serial->x) << threads << " threads";
     EXPECT_DOUBLE_EQ(par->y, serial->y) << threads << " threads";
     EXPECT_DOUBLE_EQ(par->peak_value, serial->peak_value) << threads << " threads";
@@ -278,11 +282,11 @@ TEST_P(SarSearchParity, MatchesLegacyExactSearch) {
     cfg.multires = false;
   }
   cfg.search = SarSearch::kExact;
-  const auto reference = localize_2d(measurements, cfg);
-  ASSERT_TRUE(reference.has_value());
+  const auto reference = localize_2d_checked(measurements, cfg);
+  ASSERT_TRUE(reference.ok());
   cfg.search = search;
-  const auto alt = localize_2d(measurements, cfg);
-  ASSERT_TRUE(alt.has_value());
+  const auto alt = localize_2d_checked(measurements, cfg);
+  ASSERT_TRUE(alt.ok());
   if (search == SarSearch::kCoarseToFine) {
     EXPECT_NEAR(alt->x, reference->x, cfg.coarse_resolution_m);
     EXPECT_NEAR(alt->y, reference->y, cfg.coarse_resolution_m);

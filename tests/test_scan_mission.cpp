@@ -4,6 +4,7 @@
 
 #include "core/scan_mission.h"
 #include "drone/trajectory.h"
+#include "sim/pipeline.h"
 
 namespace rfly::core {
 namespace {
@@ -29,8 +30,10 @@ TEST(ScanMission, DiscoversAndLocalizesOpenFloorTags) {
   db.add(tags[2].config.epc, "gamma");
 
   const auto plan = drone::linear_trajectory({4.0, 12.0, 1.2}, {24.0, 12.3, 1.2}, 120);
-  const auto report =
-      run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 1);
+  const auto run =
+      sim::run_mission_pipeline(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 1);
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  const ScanReport& report = run->report;
 
   EXPECT_EQ(report.discovered, 3u);
   EXPECT_EQ(report.localized, 3u);
@@ -54,8 +57,10 @@ TEST(ScanMission, OutOfRangeTagIsReportedNotLocalized) {
   tags.back().config.epc = make_epc(99);
 
   const auto plan = drone::linear_trajectory({6.0, 12.0, 1.2}, {10.0, 12.2, 1.2}, 60);
-  const auto report =
-      run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 2);
+  const auto run =
+      sim::run_mission_pipeline(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 2);
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  const ScanReport& report = run->report;
   EXPECT_EQ(report.discovered, 1u);
   EXPECT_FALSE(report.items[1].discovered);
   EXPECT_FALSE(report.items[1].localized);
@@ -67,8 +72,10 @@ TEST(ScanMission, UnknownEpcHasEmptyDescription) {
   InventoryDatabase db;  // empty
   auto tags = aisle_tags(1, 10.0);
   const auto plan = drone::linear_trajectory({6.0, 12.0, 1.2}, {10.0, 12.2, 1.2}, 60);
-  const auto report =
-      run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 3);
+  const auto run =
+      sim::run_mission_pipeline(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 3);
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  const ScanReport& report = run->report;
   ASSERT_EQ(report.items.size(), 1u);
   EXPECT_TRUE(report.items[0].description.empty());
   EXPECT_TRUE(report.items[0].discovered);
@@ -86,11 +93,14 @@ TEST(ScanMission, SideFlagFlipsSearchWindow) {
   tags[0].config.epc = make_epc(5);
   const auto plan = drone::linear_trajectory({6.0, 12.0, 1.2}, {14.0, 12.2, 1.2}, 60);
 
-  auto tags_copy = tags;
-  const auto wrong =
-      run_scan_mission(below, env, {0.0, 0.0, 2.0}, plan, tags_copy, db, 4);
-  const auto right =
-      run_scan_mission(above, env, {0.0, 0.0, 2.0}, plan, tags, db, 4);
+  const auto wrong_run =
+      sim::run_mission_pipeline(below, env, {0.0, 0.0, 2.0}, plan, tags, db, 4);
+  ASSERT_TRUE(wrong_run.ok()) << wrong_run.status().to_string();
+  const ScanReport& wrong = wrong_run->report;
+  const auto right_run =
+      sim::run_mission_pipeline(above, env, {0.0, 0.0, 2.0}, plan, tags, db, 4);
+  ASSERT_TRUE(right_run.ok()) << right_run.status().to_string();
+  const ScanReport& right = right_run->report;
 
   ASSERT_TRUE(right.items[0].localized);
   const double err_right = std::hypot(right.items[0].estimate.x - 10.0,
@@ -110,8 +120,14 @@ TEST(ScanMission, DeterministicGivenSeed) {
   auto tags_a = aisle_tags(2, 10.0);
   auto tags_b = aisle_tags(2, 10.0);
   const auto plan = drone::linear_trajectory({6.0, 12.0, 1.2}, {20.0, 12.3, 1.2}, 80);
-  const auto a = run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags_a, db, 7);
-  const auto b = run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags_b, db, 7);
+  const auto a_run =
+      sim::run_mission_pipeline(cfg, env, {0.0, 0.0, 2.0}, plan, tags_a, db, 7);
+  ASSERT_TRUE(a_run.ok()) << a_run.status().to_string();
+  const ScanReport& a = a_run->report;
+  const auto b_run =
+      sim::run_mission_pipeline(cfg, env, {0.0, 0.0, 2.0}, plan, tags_b, db, 7);
+  ASSERT_TRUE(b_run.ok()) << b_run.status().to_string();
+  const ScanReport& b = b_run->report;
   ASSERT_EQ(a.items.size(), b.items.size());
   for (std::size_t i = 0; i < a.items.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.items[i].estimate.x, b.items[i].estimate.x);

@@ -237,6 +237,41 @@ TEST(Scenario, SearchModeRoundTripsAndRejectsUnknownNames) {
       parse_scenario("name = x\nlocalize.search = quantum\n").ok());
 }
 
+// Knob values the format removed fail with a parse error naming their
+// replacement, both as an override and as a line of a saved file — older
+// builds wrote `measure.plane = auto` into every scenario they serialized.
+TEST(Scenario, RemovedKnobValuesNameTheirReplacement) {
+  struct Removed {
+    const char* key;
+    const char* value;
+    const char* replacement;
+  };
+  const Removed removed[] = {{"measure.plane", "off", "exact"},
+                             {"measure.plane", "auto", "exact"},
+                             {"localize.sar_kernel", "auto", "fast"}};
+  const std::string saved = serialize(*preset("building"));
+  for (const auto& r : removed) {
+    const std::string hint = std::string("'") + r.value + "' was removed; use '" +
+                             r.replacement + "'";
+    auto scenario = *preset("building");
+    const Status overridden = apply_override(scenario, r.key, r.value);
+    EXPECT_EQ(overridden.code(), StatusCode::kParseError) << r.key;
+    EXPECT_NE(overridden.to_string().find(hint), std::string::npos)
+        << overridden.to_string();
+
+    std::string text = saved;
+    const std::string line = std::string(r.key) + " = ";
+    const std::size_t at = text.find(line);
+    ASSERT_NE(at, std::string::npos) << r.key;
+    text.replace(at, text.find('\n', at) - at, line + r.value);
+    const auto parsed = parse_scenario(text);
+    ASSERT_FALSE(parsed.ok()) << r.key << " = " << r.value;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+    EXPECT_NE(parsed.status().to_string().find(hint), std::string::npos)
+        << parsed.status().to_string();
+  }
+}
+
 TEST(Scenario, TagDescriptionsWithSpacesRoundTrip) {
   auto scenario = *preset("warehouse");
   const auto parsed = parse_scenario(serialize(scenario));

@@ -5,6 +5,7 @@
 #include "core/scan_mission.h"
 #include "drone/trajectory.h"
 #include "gen2/sgtin.h"
+#include "sim/pipeline.h"
 
 namespace rfly::core {
 namespace {
@@ -54,8 +55,10 @@ TEST(SelectScan, OnlyMatchingCompanyIsInventoried) {
 
   const auto plan =
       drone::linear_trajectory({6.0, 12.0, 1.2}, {18.0, 12.3, 1.2}, 100);
-  const auto report =
-      run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 5);
+  const auto run =
+      sim::run_mission_pipeline(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 5);
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  const ScanReport& report = run->report;
 
   EXPECT_TRUE(report.items[0].discovered);
   EXPECT_TRUE(report.items[1].discovered);
@@ -81,8 +84,10 @@ TEST(SelectScan, NoSelectReadsEveryone) {
 
   const auto plan =
       drone::linear_trajectory({6.0, 12.0, 1.2}, {18.0, 12.3, 1.2}, 100);
-  const auto report =
-      run_scan_mission(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 6);
+  const auto run =
+      sim::run_mission_pipeline(cfg, env, {0.0, 0.0, 2.0}, plan, tags, db, 6);
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  const ScanReport& report = run->report;
   EXPECT_EQ(report.discovered, 3u);
 }
 

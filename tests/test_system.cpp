@@ -123,8 +123,9 @@ TEST(System, CollectSkipsUnpoweredPoints) {
   for (double x : {19.0, 20.0, 21.0, 60.0, 80.0, 100.0}) {
     flight.push_back({{x, 0, 1}, {x, 0, 1}});
   }
-  const auto set = sys.collect_measurements(flight, {20, 0, 0.5}, rng);
-  EXPECT_EQ(set.size(), 3u);
+  const auto set = sys.try_collect_measurements(flight, {20, 0, 0.5}, rng);
+  ASSERT_TRUE(set.ok()) << set.status().to_string();
+  EXPECT_EQ(set->size(), 3u);
 }
 
 TEST(System, NoiseScalesWithIntegrationTime) {

@@ -35,8 +35,8 @@ LocalizationResult localize(const MeasurementSet& set, const Vec3& tag) {
   cfg.freq_hz = 916e6;
   cfg.grid = {tag.x - 3.0, tag.x + 3.0, tag.y - 2.0, tag.y + 1.3, 0.02};
   cfg.peak_threshold_fraction = 0.3;
-  const auto result = localize_2d(set, cfg);
-  EXPECT_TRUE(result.has_value());
+  const auto result = localize_2d_checked(set, cfg);
+  EXPECT_TRUE(result.ok());
   return *result;
 }
 
@@ -60,8 +60,8 @@ TEST(Uncertainty, GhostSceneIsAmbiguous) {
   cfg.freq_hz = 916e6;
   cfg.grid = {3.0, 8.0, -1.0, 7.0, 0.02};
   cfg.peak_threshold_fraction = 0.3;
-  const auto result = localize_2d(set, cfg);
-  ASSERT_TRUE(result.has_value());
+  const auto result = localize_2d_checked(set, cfg);
+  ASSERT_TRUE(result.ok());
   const auto conf = assess_confidence(set, *result, 916e6);
   EXPECT_GT(conf.ambiguity, 0.5);
 }
