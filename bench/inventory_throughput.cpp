@@ -32,6 +32,57 @@ struct Airtime {
   }
 };
 
+struct Row {
+  InventoryOutcome outcome;
+  double reads_per_s = 0.0;
+};
+
+/// One table row: inventory `population` tags, `undecodable_per_20` of
+/// every 20 of them powered but too weak to decode, from initial Q `q0`.
+Row run_row(int population, int q0, int undecodable_per_20) {
+  std::vector<gen2::Tag> tags;
+  tags.reserve(static_cast<std::size_t>(population));
+  for (int i = 0; i < population; ++i) {
+    gen2::TagConfig cfg;
+    cfg.epc = make_epc(static_cast<std::uint32_t>(i));
+    tags.emplace_back(cfg, 3000 + static_cast<std::uint64_t>(i));
+  }
+  std::vector<TagAgent> agents;
+  for (std::size_t i = 0; i < tags.size(); ++i) {
+    const bool undecodable = static_cast<int>(i % 20) < undecodable_per_20;
+    agents.push_back({&tags[i], -5.0, undecodable ? -20.0 : 20.0});
+  }
+
+  reader::QAlgorithm q_algo(static_cast<double>(q0));
+  Rng rng(static_cast<std::uint64_t>(population * 10 + q0));
+  InventoryRoundConfig round;
+  round.q = q0;
+  round.max_rounds = 32;
+  Row row;
+  row.outcome = run_inventory(agents, round, q_algo, rng);
+  const InventoryOutcome& outcome = row.outcome;
+
+  // Airtime: one Query per round, one QueryRep/QueryAdjust per slot,
+  // one RN16 per single, ACK + EPC reply per read.
+  Airtime air;
+  gen2::QueryCommand query;
+  for (int r = 0; r < outcome.rounds; ++r) {
+    air.add_command(gen2::encode(query), true);
+  }
+  for (int s = 0; s < outcome.slots; ++s) {
+    air.add_command(gen2::encode(gen2::QueryRepCommand{}), false);
+  }
+  for (int s = 0; s < outcome.singles + outcome.collisions; ++s) {
+    air.add_reply(gen2::kRn16Bits);
+  }
+  for (std::size_t s = 0; s < outcome.epcs.size(); ++s) {
+    air.add_command(gen2::encode(gen2::AckCommand{}), false);
+    air.add_reply(gen2::kEpcReplyBits);
+  }
+  row.reads_per_s = static_cast<double>(outcome.epcs.size()) / air.total_s;
+  return row;
+}
+
 }  // namespace
 
 int main() {
@@ -40,44 +91,26 @@ int main() {
   std::printf("  population   initial_q   slots   collisions   reads   reads_per_s\n");
   for (int population : {5, 20, 50, 100}) {
     for (int q0 : {2, 4, 6}) {
-      std::vector<gen2::Tag> tags;
-      tags.reserve(static_cast<std::size_t>(population));
-      for (int i = 0; i < population; ++i) {
-        gen2::TagConfig cfg;
-        cfg.epc = make_epc(static_cast<std::uint32_t>(i));
-        tags.emplace_back(cfg, 3000 + static_cast<std::uint64_t>(i));
-      }
-      std::vector<TagAgent> agents;
-      for (auto& t : tags) agents.push_back({&t, -5.0, 20.0});
-
-      reader::QAlgorithm q_algo(static_cast<double>(q0));
-      Rng rng(static_cast<std::uint64_t>(population * 10 + q0));
-      InventoryRoundConfig round;
-      round.q = q0;
-      round.max_rounds = 32;
-      const auto outcome = run_inventory(agents, round, q_algo, rng);
-
-      // Airtime: one Query per round, one QueryRep/QueryAdjust per slot,
-      // one RN16 per single, ACK + EPC reply per read.
-      Airtime air;
-      gen2::QueryCommand query;
-      for (int r = 0; r < outcome.rounds; ++r) {
-        air.add_command(gen2::encode(query), true);
-      }
-      for (int s = 0; s < outcome.slots; ++s) {
-        air.add_command(gen2::encode(gen2::QueryRepCommand{}), false);
-      }
-      for (int s = 0; s < outcome.singles + outcome.collisions; ++s) {
-        air.add_reply(gen2::kRn16Bits);
-      }
-      for (std::size_t s = 0; s < outcome.epcs.size(); ++s) {
-        air.add_command(gen2::encode(gen2::AckCommand{}), false);
-        air.add_reply(gen2::kEpcReplyBits);
-      }
-
+      const Row row = run_row(population, q0, 0);
       std::printf("  %10d   %9d   %5d   %10d   %5zu   %11.0f\n", population, q0,
-                  outcome.slots, outcome.collisions, outcome.epcs.size(),
-                  static_cast<double>(outcome.epcs.size()) / air.total_s);
+                  row.outcome.slots, row.outcome.collisions,
+                  row.outcome.epcs.size(), row.reads_per_s);
+    }
+  }
+
+  // Fleet-sized populations where 15% of the tags are powered but never
+  // decodable (as in a 5000-tag fleet_warehouse round): their collisions
+  // hold Q high, so rounds run into the 16,384-slot cap.
+  std::printf("\nlarge populations, 15%% powered but undecodable\n");
+  std::printf("  population   initial_q    slots   collisions   reads   reads_per_s"
+              "   capped_rounds\n");
+  for (int population : {1000, 5000}) {
+    for (int q0 : {2, 4, 6}) {
+      const Row row = run_row(population, q0, 3);
+      std::printf("  %10d   %9d   %6d   %10d   %5zu   %11.0f   %13d\n",
+                  population, q0, row.outcome.slots, row.outcome.collisions,
+                  row.outcome.epcs.size(), row.reads_per_s,
+                  row.outcome.capped_rounds);
     }
   }
 

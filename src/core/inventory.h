@@ -57,6 +57,9 @@ struct InventoryOutcome {
   int singles = 0;
   int collisions = 0;
   int rounds = 0;
+  /// Rounds cut at the per-round slot cap (16,384 slots) before their
+  /// last slot.
+  int capped_rounds = 0;
   int final_q = 0;
 };
 

@@ -4,6 +4,8 @@
 // uses), which is exactly the constraint that caps relay-free read range.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <optional>
 
@@ -73,6 +75,28 @@ class Tag {
   }
   const TagConfig& config() const { return config_; }
   std::uint16_t current_rn16() const { return rn16_; }
+
+  /// QueryReps of session `s`, delivered while powered, until the one that
+  /// next changes this tag's state beyond its slot counter (reply, redraw,
+  /// or close of an acknowledged transaction); 0 when no QueryRep ever will.
+  std::uint32_t query_reps_to_event(Session s) const {
+    if (s != active_session_) return 0;
+    switch (state_) {
+      case TagState::kReady: return 0;
+      case TagState::kArbitrate: return slot_ > 0 ? slot_ : 1;
+      default: return 1;
+    }
+  }
+
+  /// Apply `n` QueryReps of session `s` that precede the next event
+  /// (n < query_reps_to_event(s), or any n when that is 0): O(1), the slot
+  /// counter just drops by n.
+  void skip_query_reps(Session s, std::uint32_t n) {
+    if (s == active_session_ && state_ == TagState::kArbitrate) {
+      assert(n < std::max<std::uint32_t>(slot_, 1));
+      slot_ -= n;
+    }
+  }
 
   /// Reset volatile state (power loss between frames).
   void power_cycle();

@@ -15,6 +15,7 @@
 #include "core/system.h"
 #include "drone/trajectory.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace rfly::sim {
 
@@ -288,54 +289,60 @@ Expected<MissionRun> run_fleet_mission(const MissionInputs& inputs,
   // population — tags of different chains collide in the same slots. Air-
   // interface conditions come from each tag's own chain at its closest
   // selected waypoint; a tag whose chain never took off stays unpowered.
-  std::vector<gen2::Tag> machines;
-  machines.reserve(inputs.tags.size());
-  for (std::size_t i = 0; i < inputs.tags.size(); ++i) {
-    machines.emplace_back(inputs.tags[i].config, seed + 100 + i);
-  }
-  std::vector<core::RflySystem> systems;
-  systems.reserve(chains.size());
-  for (const Chain& chain : chains) {
-    systems.emplace_back(chain.config.system, inputs.environment,
-                         chain.reader_pos);
-  }
-  std::vector<core::TagAgent> agents;
-  agents.reserve(inputs.tags.size());
-  for (std::size_t i = 0; i < inputs.tags.size(); ++i) {
-    core::TagAgent agent{&machines[i], -100.0, -100.0};
-    const Chain& chain = chains[owner[i]];
-    if (!chain.plan.route.empty()) {
-      const Vec3& tag_pos = inputs.tags[i].position;
-      const auto closest = std::min_element(
-          chain.plan.route.begin(), chain.plan.route.end(),
-          [&](const Vec3& a, const Vec3& b) {
-            return a.distance_to(tag_pos) < b.distance_to(tag_pos);
-          });
-      const core::RflySystem& system = systems[owner[i]];
-      agent.incident_power_dbm =
-          system.tag_incident_power_dbm(*closest, tag_pos);
-      agent.reply_snr_db = system.reply_snr_db(*closest, tag_pos);
-    }
-    agents.push_back(agent);
-  }
-  core::InventoryRoundConfig round = inputs.config.inventory;
-  if (inputs.config.use_select) {
-    for (auto& agent : agents) {
-      gen2::CommandContext ctx;
-      ctx.incident_power_dbm = agent.incident_power_dbm;
-      agent.tag->on_command(gen2::Command{inputs.config.select}, ctx);
-    }
-    round.sel_target = gen2::SelTarget::kSl;
-  }
-  reader::QAlgorithm q_algo(static_cast<double>(inputs.config.inventory.q));
-  Rng inventory_rng(stream_seed(seed, kFleetInventoryStream));
-  const auto outcome = core::run_inventory(agents, round, q_algo, inventory_rng);
-  std::vector<gen2::Epc> read = outcome.epcs;
-  std::sort(read.begin(), read.end());
+  // The tag machines (mostly RNG state, ~2.6 kB each) live only through the
+  // round; the sub-missions get its verdicts.
   std::vector<bool> discovered(inputs.tags.size(), false);
-  for (std::size_t i = 0; i < inputs.tags.size(); ++i) {
-    discovered[i] =
-        std::binary_search(read.begin(), read.end(), inputs.tags[i].config.epc);
+  core::InventoryOutcome outcome;
+  {
+    obs::Span span("fleet.inventory");
+    std::vector<gen2::Tag> machines;
+    machines.reserve(inputs.tags.size());
+    for (std::size_t i = 0; i < inputs.tags.size(); ++i) {
+      machines.emplace_back(inputs.tags[i].config, seed + 100 + i);
+    }
+    std::vector<core::RflySystem> systems;
+    systems.reserve(chains.size());
+    for (const Chain& chain : chains) {
+      systems.emplace_back(chain.config.system, inputs.environment,
+                           chain.reader_pos);
+    }
+    std::vector<core::TagAgent> agents;
+    agents.reserve(inputs.tags.size());
+    for (std::size_t i = 0; i < inputs.tags.size(); ++i) {
+      core::TagAgent agent{&machines[i], -100.0, -100.0};
+      const Chain& chain = chains[owner[i]];
+      if (!chain.plan.route.empty()) {
+        const Vec3& tag_pos = inputs.tags[i].position;
+        const auto closest = std::min_element(
+            chain.plan.route.begin(), chain.plan.route.end(),
+            [&](const Vec3& a, const Vec3& b) {
+              return a.distance_to(tag_pos) < b.distance_to(tag_pos);
+            });
+        const core::RflySystem& system = systems[owner[i]];
+        agent.incident_power_dbm =
+            system.tag_incident_power_dbm(*closest, tag_pos);
+        agent.reply_snr_db = system.reply_snr_db(*closest, tag_pos);
+      }
+      agents.push_back(agent);
+    }
+    core::InventoryRoundConfig round = inputs.config.inventory;
+    if (inputs.config.use_select) {
+      for (auto& agent : agents) {
+        gen2::CommandContext ctx;
+        ctx.incident_power_dbm = agent.incident_power_dbm;
+        agent.tag->on_command(gen2::Command{inputs.config.select}, ctx);
+      }
+      round.sel_target = gen2::SelTarget::kSl;
+    }
+    reader::QAlgorithm q_algo(static_cast<double>(inputs.config.inventory.q));
+    Rng inventory_rng(stream_seed(seed, kFleetInventoryStream));
+    outcome = core::run_inventory(agents, round, q_algo, inventory_rng);
+    std::vector<gen2::Epc> read = outcome.epcs;
+    std::sort(read.begin(), read.end());
+    for (std::size_t i = 0; i < inputs.tags.size(); ++i) {
+      discovered[i] =
+          std::binary_search(read.begin(), read.end(), inputs.tags[i].config.epc);
+    }
   }
 
   // --- Sub-missions: one pipeline run per chain over its planned route and
@@ -445,6 +452,7 @@ Expected<MissionRun> run_fleet_mission(const MissionInputs& inputs,
     detail->replans = replans;
     detail->exhausted_chains = exhausted;
     detail->unstable_chains = unstable;
+    detail->inventory = std::move(outcome);
   }
 
   merged.total_seconds =

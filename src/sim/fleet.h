@@ -66,6 +66,8 @@ struct FleetRun {
   std::size_t replans = 0;
   std::size_t exhausted_chains = 0;
   std::size_t unstable_chains = 0;
+  /// The shared Gen2 round: slot tallies, capped rounds, EPCs in read order.
+  core::InventoryOutcome inventory;
 };
 
 /// Run a fleet mission from materialized inputs (inputs.fleet.enabled must

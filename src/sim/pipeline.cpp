@@ -245,15 +245,6 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
     }
   }
 
-  // Gen2 discovery: run inventory rounds at each tag's closest approach.
-  // (One round per tag population keeps the model simple; collided tags are
-  // resolved by the Q-algorithm within the round.)
-  std::vector<gen2::Tag> machines;
-  machines.reserve(tags.size());
-  for (std::size_t i = 0; i < tags.size(); ++i) {
-    machines.emplace_back(tags[i].config, seed + 100 + i);
-  }
-
   for (std::size_t i = 0; i < tags.size(); ++i) {
     core::ScannedItem item;
     item.epc = tags[i].config.epc;
@@ -270,21 +261,24 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
                         inventory_override->discovered[i];
     } else {
       StageTimer timer(run.trace, Stage::kInventory);
-      // Closest approach drives the air-interface conditions for discovery.
+      // Gen2 discovery: an inventory of this one tag at its closest
+      // approach, which drives the air-interface conditions. The tag's
+      // state machine lives only through its own inventory.
+      gen2::Tag machine(tags[i].config, seed + 100 + i);
       const auto closest = std::min_element(
           flight.begin(), flight.end(), [&](const auto& a, const auto& b) {
             return a.actual.distance_to(tags[i].position) <
                    b.actual.distance_to(tags[i].position);
           });
       std::vector<core::TagAgent> agents{
-          {&machines[i],
+          {&machine,
            system.tag_incident_power_dbm(closest->actual, tags[i].position),
            system.reply_snr_db(closest->actual, tags[i].position)}};
       core::InventoryRoundConfig round = config.inventory;
       if (config.use_select) {
         gen2::CommandContext ctx;
         ctx.incident_power_dbm = agents[0].incident_power_dbm;
-        machines[i].on_command(gen2::Command{config.select}, ctx);
+        machine.on_command(gen2::Command{config.select}, ctx);
         round.sel_target = gen2::SelTarget::kSl;
       }
       reader::QAlgorithm q_algo(static_cast<double>(config.inventory.q));

@@ -3,9 +3,11 @@
 // and the determinism contract the subsystem rides on — a fleet mission is
 // bit-identical across {thread counts} x {batch modes} x {faults on/off},
 // whether executed directly, through run_batch, or through a live rflyd
-// daemon over its loopback socket. Also the tier-1 CLI smoke: the
-// fleet_warehouse preset must run end-to-end through scenario_runner with a
-// checked exit code and a strict-JSON-valid --out artifact.
+// daemon over its loopback socket; and a cap-hitting shared Gen2 round
+// pinned to digests of the seed's broadcast inventory. Also the tier-1
+// CLI smoke: the fleet_warehouse preset must run end-to-end through
+// scenario_runner with a checked exit code and a strict-JSON-valid --out
+// artifact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "service/client.h"
 #include "service/server.h"
 #include "service/wire.h"
@@ -340,6 +343,60 @@ TEST(FleetDeterminism, BitIdenticalAcrossThreadsBatchModesAndFaults) {
       }
     }
   }
+}
+
+// --- A cap-hitting shared round, pinned to the broadcast loop's digests ------
+
+/// bench/fleet_sweep.cpp's population generator (0.1 m grid, 1.5 m
+/// half-width) with the fast kernel, coarse-to-fine search and one thread.
+sim::Scenario fleet_population(std::uint32_t n_tags, std::uint64_t seed) {
+  sim::Scenario s = *sim::preset("fleet_warehouse");
+  s.grid_resolution_m = 0.1;
+  s.search_halfwidth_m = 1.5;
+  s.sar_kernel = localize::SarKernel::kFast;
+  s.sar_search = localize::SarSearch::kCoarseToFine;
+  s.localize_threads = 1;
+  s.tags.clear();
+  Rng placement(seed);
+  for (std::uint32_t i = 0; i < n_tags; ++i) {
+    const double aisle_y = 5.0 + 10.0 * static_cast<double>(i % 3);
+    s.tags.push_back({i,
+                      {placement.uniform(8.0, 32.0),
+                       aisle_y + placement.uniform(-1.0, 1.0), 0.0},
+                      "tag " + std::to_string(i)});
+  }
+  return s;
+}
+
+TEST(FleetInventory, CapHittingRoundMatchesBroadcastDigests) {
+  // 500 tags, some powered but too weak to ever decode: their
+  // collisions hold Q high and every round of the shared Gen2 round stops
+  // at the 16,384-slot cap. The digests were recorded from the seed's
+  // broadcast inventory loop (every command to every tag).
+  const sim::Scenario scenario = fleet_population(500, 1);
+  const struct {
+    std::uint64_t seed;
+    std::uint64_t digest;
+  } pinned[] = {{2, 0x95b80f96c2241cf3ull}, {3, 0x23f3837c8a0867b1ull}};
+  for (const auto& p : pinned) {
+    const auto results =
+        sim::run_batch({{scenario, p.seed}}, {1, sim::BatchMode::kBatched});
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_TRUE(results[0].status.is_ok()) << results[0].status.to_string();
+    EXPECT_EQ(service::deterministic_digest(results[0]), p.digest)
+        << "seed " << p.seed;
+  }
+
+  // The round behind the seed-2 digest, with the broadcast loop's tallies.
+  sim::FleetRun detail;
+  const auto run =
+      sim::run_fleet_mission(sim::materialize(scenario), 2, &detail);
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  EXPECT_EQ(detail.inventory.rounds, 8);
+  EXPECT_EQ(detail.inventory.capped_rounds, 8);
+  EXPECT_EQ(detail.inventory.slots, 8 * (1 << 14));
+  EXPECT_EQ(detail.inventory.collisions, 43344);
+  EXPECT_EQ(detail.inventory.epcs.size(), 423u);
 }
 
 // --- rflyd: fleet jobs flow through the daemon unchanged --------------------
