@@ -94,8 +94,8 @@ struct CliOptions {
   localize::SarSearch search = localize::SarSearch::kExact;
   bool search_explicit = false;
   /// Batch execution mode (--batch batched|per-mission): whether a batch's
-  /// missions share deduplicated localize work and SAR planes, or each job
-  /// runs its pipeline independently. Results are bit-identical either
+  /// missions defer their localize stages onto shared SAR planes, or each
+  /// job runs its pipeline independently. Results are bit-identical either
   /// way; the knob exists to measure the difference and to pin parity.
   sim::BatchMode batch_mode = sim::BatchMode::kBatched;
   /// `--set key=value` overrides, in order (scenario_runner).

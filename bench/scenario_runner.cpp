@@ -114,9 +114,8 @@ int main(int argc, char** argv) {
               summary.jobs, summary.failed, summary.degraded,
               summary.mean_discovered, summary.mean_localized,
               summary.mean_coverage * 100.0, summary.total_seconds);
-  std::printf("batch mode %s: %.1f missions/s; arena high-water %zu bytes\n",
-              sim::batch_mode_name(opts.batch_mode),
-              summary.missions_per_second, summary.arena_high_water_bytes);
+  std::printf("batch mode %s: %.1f missions/s\n",
+              sim::batch_mode_name(opts.batch_mode), summary.missions_per_second);
 
   // Timing footer (wall clock — varies run to run, unlike the lines above).
   if (!results.empty() && results.front().status.is_ok()) {
@@ -136,8 +135,6 @@ int main(int argc, char** argv) {
   metrics.add("mean_coverage", summary.mean_coverage);
   metrics.add("total_seconds", summary.total_seconds);
   metrics.add("missions_per_second", summary.missions_per_second);
-  metrics.add("arena_high_water_bytes",
-              static_cast<double>(summary.arena_high_water_bytes));
   if (!bench::finish_observability(opts, metrics)) return 1;
   if (!metrics.write(opts.out)) return 1;
   return summary.failed == 0 ? 0 : 1;

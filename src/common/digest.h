@@ -1,9 +1,8 @@
-// Content digests for batching and caching: a splitmix64-chained hash over
-// raw bytes or double bit patterns. Used to key the batch runner's scenario
-// groups, localize task dedup and plane groups, and the service's
-// ResultCache. Digests are *hints*, never proofs: every consumer verifies a
-// digest match with a full bitwise compare before sharing state, so a
-// collision can cost a cache slot but never an answer.
+// Content digests for caching: a splitmix64-chained hash over raw bytes or
+// double bit patterns. Used to key the service's ResultCache. Digests are
+// *hints*, never proofs: every consumer verifies a digest match with a full
+// bitwise compare before sharing state, so a collision can cost a cache
+// slot but never an answer.
 #pragma once
 
 #include <cstdint>

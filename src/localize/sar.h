@@ -96,7 +96,7 @@ struct SharedGrid {
 
 /// One tag's slice of a multi-tag sweep: channel weights over the shared
 /// trajectory (length = trajectory size) and the output plane to fill
-/// (ny rows of nx, row-major — a Heatmap::values buffer or arena memory).
+/// (ny rows of nx, row-major — typically a Heatmap::values buffer).
 struct MultiTagSlot {
   const double* hre = nullptr;
   const double* him = nullptr;

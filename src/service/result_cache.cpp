@@ -8,9 +8,7 @@ namespace rfly::service {
 
 std::uint64_t ResultCache::key_digest(const std::string& text,
                                       std::uint64_t seed) {
-  // Same construction the batch runner uses for its (scenario digest, seed)
-  // dedup: seed folded first so sweeps over one scenario spread across the
-  // table.
+  // Seed folded first so sweeps over one scenario spread across the table.
   return digest_string(digest_word(0x7273'6c74'6361'6368ull, seed), text);
 }
 

@@ -1,6 +1,5 @@
-// Content-addressed mission result cache: the daemon-side counterpart of
-// the batch runner's (scenario digest, seed) dedup. A mission outcome is a
-// pure function of (canonical scenario text, engine seed) — the repo-wide
+// Content-addressed mission result cache. A mission outcome is a pure
+// function of (canonical scenario text, engine seed) — the repo-wide
 // determinism contract — so the daemon never simulates the same mission
 // twice: the first SUBMIT stores the wire-encoded BatchResult, every
 // identical later SUBMIT is served those exact bytes (bit-identical by

@@ -450,8 +450,11 @@ bool MissionService::handle_shutdown(int fd, const std::string& payload) {
     send_error(fd, StatusCode::kParseError, "malformed SHUTDOWN payload");
     return false;
   }
-  // ACK first: once request_shutdown runs, this very connection is torn
-  // down and the reply would never leave the machine.
+  // Intake closes before the ACK, so a SUBMIT racing the reply is refused,
+  // never queued. Teardown waits until after it: once request_shutdown
+  // runs, wait() may shut this very connection down and the reply would
+  // never leave the machine.
+  close_intake(drain != 0);
   const bool sent = send_frame(fd, MsgType::kAck, {});
   request_shutdown(drain != 0);
   return sent;
@@ -482,9 +485,8 @@ void MissionService::worker_loop() {
     lock.unlock();
 
     const double start = now_seconds();
-    sim::BatchRunInfo info;
     auto results = sim::run_batch(
-        {batch_job}, {config_.job_threads, sim::BatchMode::kBatched}, &info);
+        {batch_job}, {config_.job_threads, sim::BatchMode::kBatched});
     WireWriter w;
     encode_batch_result(w, results.front());
     std::string bytes = w.take();
@@ -511,6 +513,15 @@ void MissionService::worker_loop() {
 }
 
 void MissionService::request_shutdown(bool drain) {
+  close_intake(drain);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    shutdown_requested_ = true;
+  }
+  done_cv_.notify_all();
+}
+
+void MissionService::close_intake(bool drain) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_ && drain) return;  // idempotent
@@ -541,7 +552,7 @@ void MissionService::wait() {
 
   {
     std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return draining_; });
+    done_cv_.wait(lock, [&] { return shutdown_requested_; });
   }
   for (auto& worker : workers_) worker.join();
   workers_.clear();

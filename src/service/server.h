@@ -115,6 +115,10 @@ class MissionService {
   bool send_error(int fd, StatusCode code, const std::string& message,
                   std::uint32_t retry_after_ms = 0);
 
+  /// Refuse new submissions (and, unless `drain`, cancel the queue) without
+  /// letting wait() begin teardown; request_shutdown does both.
+  void close_intake(bool drain);
+
   ServiceStats stats_locked() const;  // requires mu_
 
   ServiceConfig config_;
@@ -127,7 +131,8 @@ class MissionService {
   std::deque<std::uint64_t> queue_;
   std::uint64_t next_job_id_ = 1;
   std::size_t in_flight_ = 0;
-  bool draining_ = false;  // no new submissions
+  bool draining_ = false;            // no new submissions
+  bool shutdown_requested_ = false;  // wait() may tear down
   std::uint64_t submitted_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t completed_ = 0;

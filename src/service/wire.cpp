@@ -123,9 +123,14 @@ bool decode_status(WireReader& r, Status& status) {
   std::uint32_t frames = 0;
   if (!r.u8(code) || !r.str(message) || !r.u32(frames)) return false;
   if (code > kMaxStatusCode) return false;
-  std::vector<std::string> context(frames);
-  for (auto& frame : context) {
+  // `frames` is untrusted: read frame by frame instead of sizing a vector
+  // from it. Each frame costs at least its 4-byte length, so the payload
+  // bounds the loop.
+  std::vector<std::string> context;
+  for (std::uint32_t i = 0; i < frames; ++i) {
+    std::string frame;
     if (!r.str(frame)) return false;
+    context.push_back(std::move(frame));
   }
   if (code == 0) {
     status = Status::ok();

@@ -7,18 +7,16 @@
 //
 // Two execution modes (see DESIGN.md "Batched execution & memory plane"):
 //
-//   kPerMission — every job runs its whole pipeline independently (the
-//     legacy shape). Scenario parsing/validation is still hoisted: each
-//     distinct scenario text is validated and materialized once per batch,
-//     not once per job.
+//   kPerMission — every job validates, materializes and runs its whole
+//     pipeline independently, exactly as run_scenario would.
 //
 //   kBatched (default) — additionally, fault-free jobs defer their localize
-//     stages; the runner dedups identical (measurement set, config) tasks,
-//     groups tasks that share a trajectory/grid/frequency plane, and sweeps
-//     each group's SAR heatmaps in one blocked multi-tag pass over
-//     arena-backed planes. Nothing a run builds outlives it. Behaviorally
-//     invisible: every BatchResult is bit-identical to the per-mission mode
-//     at any thread count (pinned by tests/test_batch_parity.cpp).
+//     stages; the runner groups the tasks that share a trajectory/grid/
+//     frequency plane (the tags of one mission, and repeated jobs) and
+//     sweeps each group's SAR heatmaps in one blocked multi-tag pass on the
+//     whole pool. Nothing a run builds outlives it. Behaviorally invisible:
+//     every BatchResult is bit-identical to the per-mission mode at any
+//     thread count (pinned by tests/test_batch_parity.cpp).
 #pragma once
 
 #include <cstdint>
@@ -47,7 +45,7 @@ struct BatchResult {
 
 enum class BatchMode : std::uint8_t {
   kPerMission,  // independent pipelines, no cross-mission sharing
-  kBatched,     // deferred localize: task dedup + shared SAR planes + arena
+  kBatched,     // deferred localize on shared multi-tag SAR planes
 };
 
 /// Stable lower-case token ("per-mission" / "batched"), used by --batch.
@@ -66,12 +64,8 @@ struct BatchConfig {
 /// results.
 struct BatchRunInfo {
   double wall_seconds = 0.0;
-  /// Peak bytes the shared measurement plane's arena held at once.
-  std::size_t arena_high_water_bytes = 0;
-  std::size_t scenario_groups = 0;  // distinct scenario texts (validated once each)
-  std::size_t plane_groups = 0;     // multi-tag sweeps launched
-  std::size_t deferred_tasks = 0;   // localize stages hoisted out of missions
-  std::size_t distinct_tasks = 0;   // after content dedup (= sweeps' total slots)
+  std::size_t plane_groups = 0;    // multi-tag sweeps launched
+  std::size_t deferred_tasks = 0;  // localize stages hoisted out of missions
 };
 
 /// Run every job; never throws away work — a failed job is a BatchResult
@@ -90,7 +84,6 @@ std::vector<BatchResult> run_batch(const std::vector<BatchJob>& jobs,
 /// pipeline's `seed + 100 + i` tag streams). The hashed streams are
 /// independent, so batch output is a pure function of (first_seed, i):
 /// thread-count- and order-invariant, pinned bit-for-bit by test_batch.
-/// The scenario is validated and materialized once for the whole sweep.
 std::vector<BatchResult> run_seed_sweep(const Scenario& scenario,
                                         std::uint64_t first_seed,
                                         std::size_t count,
@@ -114,10 +107,9 @@ struct BatchSummary {
   /// time to include — callers printing this figure must label it
   /// "successful jobs", not "all jobs".
   double total_seconds = 0.0;
-  /// Batch throughput and sharing figures — populated by the BatchRunInfo
-  /// overload, zero otherwise.
+  /// Batch throughput — populated by the BatchRunInfo overload, zero
+  /// otherwise.
   double missions_per_second = 0.0;  // jobs / batch wall clock
-  std::size_t arena_high_water_bytes = 0;
 };
 
 BatchSummary summarize(const std::vector<BatchResult>& results);

@@ -1,5 +1,6 @@
 #include "sim/scenario.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <functional>
@@ -435,14 +436,27 @@ Status validate(const Scenario& scenario) {
     return Status{StatusCode::kEmptyPopulation,
                   "scenario '" + scenario.name + "' has no tags"};
   }
+  // Duplicate EPCs, reported as the pair an all-pairs scan meets first: the
+  // smallest i whose epc_index repeats, with that epc's next holder j.
+  // Sorting (epc_index, position) puts each epc's holders side by side in
+  // index order, so the answer is the adjacent equal pair with the smallest i.
+  std::vector<std::pair<std::uint32_t, std::size_t>> by_epc;
+  by_epc.reserve(scenario.tags.size());
   for (std::size_t i = 0; i < scenario.tags.size(); ++i) {
-    for (std::size_t j = i + 1; j < scenario.tags.size(); ++j) {
-      if (scenario.tags[i].epc_index == scenario.tags[j].epc_index) {
-        return invalid("tags " + std::to_string(i) + " and " + std::to_string(j) +
-                       " share epc_index " +
-                       std::to_string(scenario.tags[i].epc_index));
-      }
+    by_epc.emplace_back(scenario.tags[i].epc_index, i);
+  }
+  std::sort(by_epc.begin(), by_epc.end());
+  std::size_t dup = 0;  // index into by_epc of the reported j; 0 = none
+  for (std::size_t k = 1; k < by_epc.size(); ++k) {
+    if (by_epc[k].first == by_epc[k - 1].first &&
+        (dup == 0 || by_epc[k - 1].second < by_epc[dup - 1].second)) {
+      dup = k;
     }
+  }
+  if (dup != 0) {
+    return invalid("tags " + std::to_string(by_epc[dup - 1].second) + " and " +
+                   std::to_string(by_epc[dup].second) + " share epc_index " +
+                   std::to_string(by_epc[dup].first));
   }
   if (!(scenario.grid_resolution_m > 0.0)) {
     return invalid("localize.grid_resolution_m must be positive");

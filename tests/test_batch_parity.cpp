@@ -1,8 +1,6 @@
 // Batched-execution parity suite: the batched mission runner's "behaviorally
 // invisible" contract, pinned layer by layer. From the bottom up:
 //
-//   - Arena: reset() is pristine (same addresses as a fresh arena), the
-//     high-water gauge survives reset/release, alignment holds.
 //   - rows_multi: every compiled ISA variant's blocked multi-tag sweep is
 //     bit-identical to per-tag `rows` calls, including ragged tails.
 //   - sar_heatmap_multi: the public multi-tag sweep matches per-tag
@@ -11,19 +9,18 @@
 //     plane reproduces localize_2d_from bitwise for all three searches.
 //   - run_batch: the full matrix — batched vs per-mission, thread counts,
 //     kernels, searches, faults on/off, duplicate jobs — every cell
-//     bit-identical, every error context equal; and no state survives a
-//     call (A, then an unrelated B, then A again reproduces A exactly).
+//     bit-identical, every error context equal; the tags of one mission
+//     share one plane group; and no state survives a call (A, then an
+//     unrelated B, then A again reproduces A exactly).
 //
 // Runs under the `batch` label: include it in the TSAN tree (coordinator /
-// worker handoff) and the ASan+UBSan tree (arena pointer
-// arithmetic, multi-tag tail handling).
+// worker handoff) and the ASan+UBSan tree (multi-tag tail handling).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/rng.h"
 #include "drone/trajectory.h"
 #include "localize/localizer.h"
@@ -35,59 +32,6 @@ namespace rfly::sim {
 namespace {
 
 constexpr double kFreq = 916e6;
-
-// --- Arena ---------------------------------------------------------------
-
-TEST(Arena, ResetIsPristine) {
-  Arena arena(1 << 12);
-  double* a = arena.alloc_array<double>(100);
-  double* b = arena.alloc_array<double>(37);
-  void* c = arena.allocate(64, 64);
-  const std::size_t in_use = arena.bytes_in_use();
-  EXPECT_GT(in_use, 0u);
-
-  arena.reset();
-  EXPECT_EQ(arena.bytes_in_use(), 0u);
-  // Same request sequence after reset() bumps through the same blocks and
-  // hands back the same addresses — the per-group reuse the batched sweep
-  // relies on to keep its pages warm.
-  EXPECT_EQ(arena.alloc_array<double>(100), a);
-  EXPECT_EQ(arena.alloc_array<double>(37), b);
-  EXPECT_EQ(arena.allocate(64, 64), c);
-  EXPECT_EQ(arena.bytes_in_use(), in_use);
-}
-
-TEST(Arena, HighWaterSurvivesResetAndRelease) {
-  Arena arena(1 << 12);
-  arena.alloc_array<double>(500);
-  const std::size_t peak = arena.high_water_bytes();
-  EXPECT_GE(peak, 500 * sizeof(double));
-
-  arena.reset();
-  EXPECT_EQ(arena.high_water_bytes(), peak);
-  arena.alloc_array<double>(10);  // below the old peak: no change
-  EXPECT_EQ(arena.high_water_bytes(), peak);
-
-  arena.release();
-  EXPECT_EQ(arena.bytes_reserved(), 0u);
-  EXPECT_EQ(arena.high_water_bytes(), peak);
-}
-
-TEST(Arena, AlignmentAndOversizedRequestsHold) {
-  Arena arena(256);
-  for (std::size_t align : {8u, 16u, 32u, 64u}) {
-    void* p = arena.allocate(24, align);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u) << align;
-  }
-  // A request bigger than the block size gets its own dedicated block.
-  const std::size_t before = arena.bytes_reserved();
-  double* big = arena.alloc_array<double>(4096);
-  ASSERT_NE(big, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), before + 4096 * sizeof(double));
-  big[0] = 1.0;
-  big[4095] = 2.0;  // the whole extent is writable (ASan checks this)
-  EXPECT_EQ(big[0] + big[4095], 3.0);
-}
 
 // --- Multi-tag kernel sweeps ---------------------------------------------
 
@@ -326,11 +270,8 @@ void expect_results_identical(const std::vector<BatchResult>& a,
 
 /// Every BatchRunInfo figure but the wall clock.
 void expect_infos_equal(const BatchRunInfo& a, const BatchRunInfo& b) {
-  EXPECT_EQ(a.arena_high_water_bytes, b.arena_high_water_bytes);
-  EXPECT_EQ(a.scenario_groups, b.scenario_groups);
   EXPECT_EQ(a.plane_groups, b.plane_groups);
   EXPECT_EQ(a.deferred_tasks, b.deferred_tasks);
-  EXPECT_EQ(a.distinct_tasks, b.distinct_tasks);
 }
 
 /// The matrix scenario: the building preset with a coarser grid so the
@@ -341,8 +282,9 @@ Scenario matrix_scenario() {
   return scenario;
 }
 
-/// Duplicate-heavy job list: two identical jobs (dedup candidates), a
-/// distinct seed on the same scenario, and a second distinct scenario text.
+/// Duplicate-heavy job list: two identical jobs (their tasks share plane
+/// groups), a distinct seed on the same scenario, and a second distinct
+/// scenario text.
 std::vector<BatchJob> matrix_jobs(const Scenario& scenario) {
   Scenario other = scenario;
   other.name = "building-fine";
@@ -398,31 +340,21 @@ INSTANTIATE_TEST_SUITE_P(
       return cases;
     }()));
 
-TEST(BatchParity, DedupFindsDuplicateJobsAndThreadCountIsInvisible) {
-  const Scenario scenario = matrix_scenario();
-  std::vector<BatchJob> jobs(6, {scenario, 21});  // six identical missions
-
-  BatchRunInfo serial_info;
-  const auto serial = run_batch(jobs, {1, BatchMode::kBatched}, &serial_info);
-  BatchRunInfo threaded_info;
-  const auto threaded = run_batch(jobs, {8, BatchMode::kBatched}, &threaded_info);
-
-  expect_results_identical(serial, threaded);
-  // One scenario text, validated once; every localize stage deferred; the
-  // six copies collapse to one distinct task per tag.
-  EXPECT_EQ(serial_info.scenario_groups, 1u);
-  EXPECT_GT(serial_info.deferred_tasks, 0u);
-  EXPECT_EQ(serial_info.deferred_tasks, 6u * serial_info.distinct_tasks);
-  // The sharing discovered is content-determined, so the instrumentation is
-  // thread-count-invariant too (all but wall_seconds).
-  expect_infos_equal(serial_info, threaded_info);
-
-  // And the deduped results are the lone-mission ground truth.
-  const auto solo = run_scenario(scenario, 21);
-  ASSERT_TRUE(solo.ok());
-  for (const auto& result : serial) {
-    ASSERT_TRUE(result.status.is_ok());
-    expect_reports_identical(result.run.report, solo.value().report);
+TEST(BatchParity, PlaneGroupsShareOneMissionsTags) {
+  // through_wall flies one pass over three tags: each mission's three
+  // deferred tasks share its trajectory, so two seeds make two plane
+  // groups of three, and the grouped sweeps reproduce per-mission runs.
+  const auto loaded = preset("through_wall");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  for (unsigned threads : {1u, 8u}) {
+    BatchRunInfo info;
+    const auto batched =
+        run_seed_sweep(*loaded, 7, 2, {threads, BatchMode::kBatched}, &info);
+    const auto reference =
+        run_seed_sweep(*loaded, 7, 2, {threads, BatchMode::kPerMission});
+    expect_results_identical(batched, reference);
+    EXPECT_EQ(info.deferred_tasks, 6u) << threads;
+    EXPECT_EQ(info.plane_groups, 2u) << threads;
   }
 }
 
@@ -448,8 +380,8 @@ TEST(BatchParity, RunsCarryNoStateBetweenCalls) {
 
 TEST(BatchParity, FailedJobContextsMatchPerMissionExactly) {
   // A job that fails validation must carry the same status text in both
-  // modes — the hoisted validate-once path has to reproduce the contexts
-  // the per-job run_scenario nesting produced, character for character.
+  // modes — the contexts the per-job run_scenario nesting produced,
+  // character for character.
   const Scenario good = matrix_scenario();
   Scenario bad = good;
   bad.name = "clipped";
@@ -473,12 +405,10 @@ TEST(BatchParity, SeedSweepHonorsBothModes) {
   const auto batched = run_seed_sweep(scenario, 40, 3, {2, BatchMode::kBatched}, &info);
   const auto reference = run_seed_sweep(scenario, 40, 3, {2, BatchMode::kPerMission});
   expect_results_identical(batched, reference);
-  EXPECT_EQ(info.scenario_groups, 1u);  // one text, three seeds
 
   const auto summary = summarize(batched, info);
   EXPECT_EQ(summary.jobs, 3u);
   EXPECT_GT(summary.missions_per_second, 0.0);
-  EXPECT_EQ(summary.arena_high_water_bytes, info.arena_high_water_bytes);
 }
 
 TEST(BatchParity, ModeNamesRoundTrip) {

@@ -123,6 +123,19 @@ TEST(Scenario, ValidatorRejectsDuplicateEpcIndices) {
   auto scenario = *preset("building");
   scenario.tags[1].epc_index = scenario.tags[0].epc_index;
   EXPECT_EQ(validate(scenario).code(), StatusCode::kInvalidArgument);
+
+  // Several duplicates: epc 900 held by tags 2, 5 and 7, epc 800 by tags 3
+  // and 4. The reported pair is the one an all-pairs scan meets first (the
+  // smallest i with a repeat, then its next holder), not the smallest epc
+  // nor the smallest j.
+  scenario.tags.resize(8, scenario.tags.front());
+  for (std::uint32_t i = 0; i < 8; ++i) scenario.tags[i].epc_index = 100 + i;
+  for (std::size_t i : {2, 5, 7}) scenario.tags[i].epc_index = 900;
+  for (std::size_t i : {3, 4}) scenario.tags[i].epc_index = 800;
+  const Status status = validate(scenario);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.to_string(),
+            "INVALID_ARGUMENT: scenario 'building': tags 2 and 5 share epc_index 900");
 }
 
 TEST(Scenario, ValidatorRejectsNonPositiveResolution) {

@@ -196,6 +196,23 @@ TEST(WireCodec, StatusRejectsUnknownCode) {
   EXPECT_FALSE(decode_status(r, decoded));
 }
 
+TEST(WireCodec, StatusRejectsHostileFrameCount) {
+  // A valid code and message followed by a context-frame count of 2^32 - 1
+  // and a single real frame: the count is untrusted, so decoding must fail
+  // on the missing frames rather than size a vector from the count first
+  // (which threw std::bad_alloc out of the client's RESULT path).
+  WireWriter w;
+  w.u8(static_cast<std::uint8_t>(StatusCode::kInvalidArgument));
+  w.str("");
+  w.u32(0xFFFFFFFFu);
+  w.str("tag 1");
+  WireReader r(w.bytes());
+  Status decoded;
+  bool ok = true;
+  EXPECT_NO_THROW(ok = decode_status(r, decoded));
+  EXPECT_FALSE(ok);
+}
+
 TEST(WireCodec, ErrorRoundTripsAndRejectsOkCode) {
   WireWriter w;
   encode_error(w, {StatusCode::kUnavailable, "queue full", 75});
