@@ -180,6 +180,38 @@ void BM_ForwardSynthesis(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardSynthesis)->Arg(1)->Arg(16)->Arg(256)->ArgName("tags");
 
+// localize_3d per search strategy (0 exact, 1 incremental, 2 coarse2fine)
+// on a two-altitude aperture, fast kernel, 1 thread: the algorithmic
+// speedup over the brute-force volume scan, with no thread help.
+void BM_Localize3d(benchmark::State& state) {
+  const core::SystemConfig sys_cfg;
+  const core::RflySystem system(sys_cfg, channel::Environment{}, {0, 0, 1});
+  Rng rng(34);
+  const channel::Vec3 tag{12.0, 6.0, 0.4};
+  std::vector<channel::Vec3> plan;
+  for (double z : {1.2, 1.8}) {
+    const auto row = drone::linear_trajectory({tag.x - 1.2, 8.0, z},
+                                              {tag.x + 1.2, 8.15, z}, 25);
+    plan.insert(plan.end(), row.begin(), row.end());
+  }
+  const auto flight = drone::fly(plan, {}, drone::optitrack_tracking(), rng);
+  const auto measurements = system.try_collect_measurements(flight, tag, rng);
+  if (!measurements) return state.SkipWithError("collection failed");
+  const localize::Volume volume{.x_min = tag.x - 1.5, .x_max = tag.x + 1.5,
+                                .y_min = tag.y - 1.5, .y_max = tag.y + 1.2,
+                                .z_min = 0.0, .z_max = 1.2, .resolution_m = 0.05};
+  localize::Localize3dConfig cfg;
+  cfg.freq_hz = sys_cfg.carrier_hz + sys_cfg.freq_shift_hz;
+  cfg.threads = 1;
+  cfg.kernel = localize::SarKernel::kFast;
+  cfg.search = static_cast<localize::SarSearch>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(localize::localize_3d(*measurements, volume, cfg));
+  }
+}
+BENCHMARK(BM_Localize3d)->DenseRange(0, 2)->ArgName("search")->Unit(
+    benchmark::kMillisecond);
+
 void BM_SincosVariant(benchmark::State& state,
                       const localize::SarKernelVariant* variant) {
   constexpr std::size_t kN = 4096;

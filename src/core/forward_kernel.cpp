@@ -1,7 +1,8 @@
 // The forward-synthesis kernels: one scalar build with auto-vectorization
 // disabled. Measured against per-ISA builds of the same bodies (sse2, avx2,
 // avx512), it was the fastest: 507 ms against 744 ms for the dispatched
-// AVX-512 variant on 2000 tags x 420 waypoints (bench_measure_throughput).
+// AVX-512 variant on 2000 tags x 420 waypoints (EXPERIMENTS.md, "Retired
+// throughput benches").
 //
 // This translation unit is compiled with -fno-math-errno (so sqrt lowers to
 // the hardware instruction) and -ffp-contract=fast; see

@@ -200,6 +200,22 @@ GridSpec localize_scan_grid(const LocalizerConfig& config) {
   return scan_grid;
 }
 
+double localize_refine_cells(const LocalizerConfig& config) {
+  const double res = config.grid.resolution_m;
+  const double candidates = std::max(config.refine_candidates, 1);
+  if (config.search == SarSearch::kCoarseToFine) {
+    // refine_lattice_peak: +/-(stride + 1) fine cells around each candidate,
+    // stride as coarse_stride_cells computes it.
+    const double stride = std::max(2.0, std::round(config.coarse_resolution_m / res));
+    const double side = 2.0 * (stride + 1.0) + 1.0;
+    return candidates * side * side;
+  }
+  if (!config.multires) return 0.0;
+  // refine_peak: a +/-1.5 coarse-cell patch stepped at the fine resolution.
+  const double side = std::floor(3.0 * config.coarse_resolution_m / res) + 1.0;
+  return candidates * side * side;
+}
+
 Status validate_grid(const GridSpec& grid) {
   if (!(grid.resolution_m > 0.0)) {
     return {StatusCode::kDegenerateGrid,

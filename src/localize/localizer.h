@@ -78,6 +78,11 @@ Expected<LocalizationResult> localize_2d_from(const DisentangledSet& set,
 /// inside localize_2d_from.
 GridSpec localize_scan_grid(const LocalizerConfig& config);
 
+/// Fine cells the refinement after the scan may evaluate for one tag under
+/// this config, all candidates together: an upper bound, in double so that
+/// a hostile grid cannot overflow it. Scenario validation budgets it.
+double localize_refine_cells(const LocalizerConfig& config);
+
 /// Finish a localization whose main sweep was computed elsewhere: `map`
 /// must be a heatmap over localize_scan_grid(config) whose values are
 /// bit-identical to the sweep localize_2d_from would run (sar_heatmap /

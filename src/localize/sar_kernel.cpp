@@ -5,8 +5,7 @@
 //   kern_scalar   — vectorization disabled: the honest "batched scalar"
 //                   fallback and the bench's no-SIMD reference point.
 //   kern_base     — whatever the build targets by default (SSE2 on x86-64,
-//                   NEON on AArch64, plain scalar elsewhere; with
-//                   -DRFLY_NATIVE=ON this is already the host's best ISA).
+//                   NEON on AArch64, plain scalar elsewhere).
 //   kern_avx2     — AVX2 + FMA        (x86 + GCC only; runtime-gated)
 //   kern_avx512   — AVX-512 F/DQ + FMA (x86 + GCC only; runtime-gated)
 //

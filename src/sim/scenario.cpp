@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <sstream>
@@ -414,8 +415,11 @@ Status validate(const Scenario& scenario) {
                      format_double(scenario.environment.width_m) + " x " +
                      format_double(scenario.environment.height_m));
     }
-    if (scenario.environment.shelf_rows < 0) {
-      return invalid("env.shelf_rows must be >= 0");
+    if (scenario.environment.shelf_rows < 0 ||
+        scenario.environment.shelf_rows > kMaxShelfRows) {
+      return invalid("env.shelf_rows must be in [0, " +
+                     std::to_string(kMaxShelfRows) + "], got " +
+                     std::to_string(scenario.environment.shelf_rows));
     }
   }
   if (scenario.environment.wall &&
@@ -426,11 +430,28 @@ Status validate(const Scenario& scenario) {
     return Status{StatusCode::kEmptyFlightPlan,
                   "scenario '" + scenario.name + "' has no flight legs"};
   }
+  double waypoints = 0.0;
   for (std::size_t i = 0; i < scenario.legs.size(); ++i) {
-    if (scenario.legs[i].points < 2) {
+    const FlightLeg& leg = scenario.legs[i];
+    if (leg.points < 2) {
       return invalid("leg " + std::to_string(i) +
                      " needs at least 2 waypoints for a SAR aperture");
     }
+    if (leg.points > kMaxLegWaypoints) {
+      return invalid("leg " + std::to_string(i) + ": " +
+                     std::to_string(leg.points) +
+                     " waypoints exceed the limit of " +
+                     std::to_string(kMaxLegWaypoints));
+    }
+    for (const double c : {leg.start.x, leg.start.y, leg.start.z, leg.end.x,
+                           leg.end.y, leg.end.z}) {
+      if (!(std::abs(c) <= kMaxLegCoordinateM)) {
+        return invalid("leg " + std::to_string(i) + ": coordinate " +
+                       format_double(c) + " is not finite or exceeds the limit of " +
+                       format_double(kMaxLegCoordinateM) + " m");
+      }
+    }
+    waypoints += static_cast<double>(leg.points);
   }
   if (scenario.tags.empty()) {
     return Status{StatusCode::kEmptyPopulation,
@@ -458,6 +479,24 @@ Status validate(const Scenario& scenario) {
                    std::to_string(by_epc[dup].second) + " share epc_index " +
                    std::to_string(by_epc[dup].first));
   }
+  const double tags = static_cast<double>(scenario.tags.size());
+  if (tags * waypoints > static_cast<double>(kMaxTagWaypoints)) {
+    return invalid("tag x leg: " + std::to_string(scenario.tags.size()) +
+                   " tags x " + format_double(waypoints) + " waypoints = " +
+                   format_double(tags * waypoints) + " exceed the limit of " +
+                   std::to_string(kMaxTagWaypoints));
+  }
+  const std::pair<const char*, double> localize_values[] = {
+      {"localize.search_halfwidth_m", scenario.search_halfwidth_m},
+      {"localize.grid_resolution_m", scenario.grid_resolution_m},
+      {"localize.peak_threshold_fraction", scenario.peak_threshold_fraction},
+      {"localize.grid_margin_to_path_m", scenario.grid_margin_to_path_m}};
+  for (const auto& [key, value] : localize_values) {
+    if (!std::isfinite(value)) {
+      return invalid(std::string(key) + " must be finite, got " +
+                     format_double(value));
+    }
+  }
   if (!(scenario.grid_resolution_m > 0.0)) {
     return invalid("localize.grid_resolution_m must be positive");
   }
@@ -479,6 +518,41 @@ Status validate(const Scenario& scenario) {
                       format_double(scenario.search_halfwidth_m) +
                       "): the margin clips the whole search window"}
         .with_context("scenario '" + scenario.name + "'");
+  }
+  // The localize stage's per-tag search, sized as the pipeline builds it: a
+  // window 2 x halfwidth wide and (halfwidth - margin) deep, swept on
+  // localize_scan_grid's lattice and then refined. Counted in double, so a
+  // hostile extent cannot overflow.
+  localize::LocalizerConfig search;
+  search.search = scenario.sar_search;
+  search.grid = {-scenario.search_halfwidth_m, scenario.search_halfwidth_m,
+                 -scenario.search_halfwidth_m, -scenario.grid_margin_to_path_m,
+                 scenario.grid_resolution_m};
+  const localize::GridSpec scan = localize::localize_scan_grid(search);
+  const auto axis_cells = [&](double lo, double hi) {
+    return std::floor((hi - lo) / scan.resolution_m) + 1.0;
+  };
+  const double scan_cells =
+      axis_cells(scan.x_min, scan.x_max) * axis_cells(scan.y_min, scan.y_max);
+  if (scan_cells > static_cast<double>(kMaxScanCells)) {
+    return invalid("localize.search_halfwidth_m: a scan grid of " +
+                   format_double(scan_cells) +
+                   " cells per tag exceeds the limit of " +
+                   std::to_string(kMaxScanCells));
+  }
+  if (tags * scan_cells > static_cast<double>(kMaxMissionScanCells)) {
+    return invalid("localize.search_halfwidth_m: " +
+                   std::to_string(scenario.tags.size()) + " tags x " +
+                   format_double(scan_cells) + " scan cells = " +
+                   format_double(tags * scan_cells) + " exceed the limit of " +
+                   std::to_string(kMaxMissionScanCells));
+  }
+  const double refine_cells = localize::localize_refine_cells(search);
+  if (refine_cells > static_cast<double>(kMaxRefineCells)) {
+    return invalid("localize.grid_resolution_m: refining " +
+                   format_double(refine_cells) +
+                   " cells per tag exceeds the limit of " +
+                   std::to_string(kMaxRefineCells));
   }
   if (scenario.inventory.q < 0 || scenario.inventory.q > 15) {
     return invalid("inventory.q must be in [0, 15]");
@@ -516,8 +590,11 @@ Status validate(const Scenario& scenario) {
     return invalid("faults.max_attempts must be >= 1");
   }
   if (scenario.fleet.enabled) {
-    if (scenario.fleet.n_relays < 1) {
-      return invalid("fleet.n_relays must be >= 1");
+    if (scenario.fleet.n_relays < 1 ||
+        scenario.fleet.n_relays > kMaxRelaysPerChain) {
+      return invalid("fleet.n_relays must be in [1, " +
+                     std::to_string(kMaxRelaysPerChain) + "], got " +
+                     std::to_string(scenario.fleet.n_relays));
     }
     if (!(scenario.fleet.per_hop_shift_hz > 0.0)) {
       return invalid("fleet.per_hop_shift_hz must be positive");

@@ -117,10 +117,33 @@ struct Scenario {
   FleetSpec fleet{};
 };
 
+// Work ceilings validate() enforces, so that no accepted scenario can
+// exhaust memory or hold a worker indefinitely (rflyd runs whatever
+// validates). Fixed, not knobs: each sits at least 100x above every preset
+// and the perfbench scenarios, whose largest costs are 140 waypoints in a
+// leg, 5000 tags x 270 waypoints, a 6,655-cell scan grid, 5000 tags x 112
+// scan cells, 405 refine cells per tag, 2 shelf rows and 2 relays a chain.
+inline constexpr std::size_t kMaxLegWaypoints = std::size_t{1} << 20;
+/// Tags x waypoints of all legs: the measure stage's channel evaluations.
+inline constexpr std::size_t kMaxTagWaypoints = std::size_t{1} << 28;
+/// Cells of one tag's scan grid (localize_scan_grid of its window).
+inline constexpr std::size_t kMaxScanCells = std::size_t{1} << 22;
+/// Tags x scan cells: the heatmaps one mission may hold at once.
+inline constexpr std::size_t kMaxMissionScanCells = std::size_t{1} << 26;
+/// Cells one tag's peak refinement evaluates (localize_refine_cells).
+inline constexpr std::size_t kMaxRefineCells = std::size_t{1} << 18;
+inline constexpr int kMaxShelfRows = 256;
+inline constexpr int kMaxRelaysPerChain = 256;
+/// Bound on |x|, |y|, |z| of a leg end: past it a fine-grid step around the
+/// flight no longer moves a double, and the refinement loop never ends.
+inline constexpr double kMaxLegCoordinateM = 1e6;
+
 /// Reject inconsistent scenarios with an actionable message: empty flight
 /// plan (kEmptyFlightPlan), empty tag population (kEmptyPopulation), a
 /// margin that clips the whole search window (kDegenerateGrid), duplicate
-/// EPC indices, non-positive dimensions/resolutions (kInvalidArgument).
+/// EPC indices, non-positive dimensions/resolutions, non-finite localizer
+/// or leg values, and work over one of the ceilings above
+/// (kInvalidArgument, naming the field, the cost and the limit).
 Status validate(const Scenario& scenario);
 
 /// Line-oriented `key = value` text form. Doubles print with enough digits

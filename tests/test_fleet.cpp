@@ -401,6 +401,30 @@ TEST(FleetInventory, CapHittingRoundMatchesBroadcastDigests) {
 
 // --- rflyd: fleet jobs flow through the daemon unchanged --------------------
 
+// The validator's work ceilings leave at least 100x headroom over the
+// benchmark's 5000-tag fleet: it validates as is and with 100x the
+// waypoints or 100x the scan cells, while 5000 tags on a 20 m half-width
+// window exceed the tags x scan cells ceiling.
+TEST(FleetScenario, WorkCeilingsLeaveHeadroomAt5000Tags) {
+  const sim::Scenario fleet = fleet_population(5000, 1);
+  EXPECT_TRUE(sim::validate(fleet).is_ok()) << sim::validate(fleet).to_string();
+  sim::Scenario longer = fleet;
+  for (auto& leg : longer.legs) leg.points *= 100;
+  EXPECT_TRUE(sim::validate(longer).is_ok()) << sim::validate(longer).to_string();
+  sim::Scenario wider = fleet;
+  wider.search_halfwidth_m *= 10.0;  // 5000 tags x 151 x 74 coarse cells
+  EXPECT_TRUE(sim::validate(wider).is_ok()) << sim::validate(wider).to_string();
+
+  sim::Scenario over = fleet;
+  over.search_halfwidth_m = 20.0;  // 5000 tags x 201 x 99
+  const Status status = sim::validate(over);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.to_string().find(
+                "5000 tags x 19899 scan cells = 99495000 exceed the limit of 67108864"),
+            std::string::npos)
+      << status.to_string();
+}
+
 TEST(FleetService, LoopbackResultBitIdenticalToDirectRunBatch) {
   const auto scenario = *sim::preset("fleet_warehouse");
   const std::uint64_t seed = 29;

@@ -51,14 +51,6 @@ DisentangledSet random_set(std::uint64_t seed, std::size_t n_points) {
   return set;
 }
 
-/// One measurement of `set` as its own single-element batch.
-DisentangledSet single(const DisentangledSet& set, std::size_t i) {
-  DisentangledSet one;
-  one.positions.push_back(set.positions[i]);
-  one.channels.push_back(set.channels[i]);
-  return one;
-}
-
 class SarIncremental
     : public ::testing::TestWithParam<std::tuple<int, SarKernel>> {};
 

@@ -144,6 +144,107 @@ TEST(Scenario, ValidatorRejectsNonPositiveResolution) {
   EXPECT_EQ(validate(scenario).code(), StatusCode::kInvalidArgument);
 }
 
+// Inputs that would abort the process (std::bad_alloc), spin in the peak
+// refinement, or scan an infinite window: each fails validate() with a typed
+// error naming the field, and for a work ceiling the cost and the limit.
+TEST(Scenario, ValidatorRejectsHostileWorkWithTypedError) {
+  const struct {
+    const char* key;
+    const char* value;
+    const char* message;
+  } cases[] = {
+      {"localize.search_halfwidth_m", "1e6",
+       "localize.search_halfwidth_m: a scan grid of 799999779999994 cells per "
+       "tag exceeds the limit of 4194304"},
+      {"leg", "0 4 1.5 30 4 1.5 4000000000",
+       "leg 3: 4000000000 waypoints exceed the limit of 1048576"},
+      {"localize.grid_resolution_m", "1e-7",
+       "localize.grid_resolution_m: refining 11250015000005 cells per tag "
+       "exceeds the limit of 262144"},
+      {"localize.search_halfwidth_m", "inf",
+       "localize.search_halfwidth_m must be finite, got inf"},
+      {"localize.grid_margin_to_path_m", "nan",
+       "localize.grid_margin_to_path_m must be finite, got nan"},
+      {"leg", "0 4 1.5 30 nan 1.5 50",
+       "leg 3: coordinate nan is not finite or exceeds the limit of 1e+06 m"},
+  };
+  for (const auto& c : cases) {
+    auto scenario = *preset("warehouse");
+    ASSERT_TRUE(apply_override(scenario, c.key, c.value).is_ok()) << c.key;
+    const Status status = validate(scenario);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.key << "=" << c.value;
+    EXPECT_EQ(status.to_string(),
+              std::string("INVALID_ARGUMENT: scenario 'warehouse': ") + c.message);
+  }
+}
+
+// The ceilings sit at least 100x above every preset: each still validates
+// with its costs scaled by 100 along each budgeted axis. (The 5000-tag
+// fleet workload has its own check in test_fleet.cpp.)
+TEST(Scenario, WorkCeilingsLeaveHeadroomOverPresets) {
+  for (const auto& name : preset_names()) {
+    auto scenario = *preset(name);
+    scenario.search_halfwidth_m *= 10.0;  // 100x the scan cells
+    scenario.grid_resolution_m /= 10.0;   // 100x the refine cells
+    for (auto& leg : scenario.legs) leg.points *= 100;
+    EXPECT_TRUE(validate(scenario).is_ok()) << name << ": "
+                                            << validate(scenario).to_string();
+  }
+}
+
+// Each ceiling admits its limit and rejects one past it.
+TEST(Scenario, ValidatorEnforcesEachWorkCeilingAtItsBoundary) {
+  const auto expect_limit = [](const Scenario& ok, const Scenario& over,
+                               const std::string& field) {
+    EXPECT_TRUE(validate(ok).is_ok()) << field << ": " << validate(ok).to_string();
+    const Status status = validate(over);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(status.to_string().find(field), std::string::npos) << status.to_string();
+  };
+  const Scenario building = *preset("building");  // 3 tags, 120 waypoints
+
+  Scenario ok = building;
+  Scenario over = building;
+  ok.legs[0].points = kMaxLegWaypoints;
+  over.legs[0].points = kMaxLegWaypoints + 1;
+  expect_limit(ok, over, "leg 0: 1048577 waypoints exceed the limit of 1048576");
+
+  // 3 tags x 85 or 86 legs of 2^20 waypoints, around the 2^28 ceiling.
+  ok.legs.assign(85, {{0, 4, 1.5}, {30, 4, 1.5}, kMaxLegWaypoints});
+  over.legs.assign(86, ok.legs.front());
+  expect_limit(ok, over, "tag x leg: 3 tags x 90177536 waypoints");
+
+  ok = building;
+  over = building;
+  ok.search_halfwidth_m = 70.0;  // 2801 x 1394 cells on the 0.05 m scan grid
+  over.search_halfwidth_m = 80.0;
+  expect_limit(ok, over, "cells per tag exceeds the limit of 4194304");
+
+  ok = building;
+  over = building;
+  ok.grid_resolution_m = 1e-3;  // 5 candidates x 151^2 cells
+  over.grid_resolution_m = 5e-4;
+  expect_limit(ok, over, "cells per tag exceeds the limit of 262144");
+
+  ok = *preset("warehouse");
+  over = ok;
+  ok.environment.shelf_rows = kMaxShelfRows;
+  over.environment.shelf_rows = kMaxShelfRows + 1;
+  expect_limit(ok, over, "env.shelf_rows must be in [0, 256], got 257");
+
+  ok = *preset("fleet_warehouse");
+  over = ok;
+  ok.fleet.n_relays = kMaxRelaysPerChain;
+  over.fleet.n_relays = kMaxRelaysPerChain + 1;
+  expect_limit(ok, over, "fleet.n_relays must be in [1, 256], got 257");
+
+  ok = building;
+  over = building;
+  ok.legs[0].end.x = kMaxLegCoordinateM;
+  over.legs[0].end.x = -1.5 * kMaxLegCoordinateM;
+  expect_limit(ok, over, "leg 0: coordinate -1500000 is not finite");
+}
+
 TEST(Scenario, ParseReportsLineNumberOnBadInput) {
   const auto result = parse_scenario("seed = 3\nnot a line\n");
   ASSERT_FALSE(result.ok());

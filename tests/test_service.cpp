@@ -13,8 +13,10 @@
 //     daemon returns results bit-identical to direct run_batch at thread
 //     counts 1 and 8, cold and warm cache; a repeated submission is served
 //     from the cache with zero additional simulations; backpressure is a
-//     typed kUnavailable rejection with a retry hint; concurrent clients
-//     all see the same deterministic bytes; shutdown drains or cancels.
+//     typed kUnavailable rejection with a retry hint; an over-budget
+//     scenario is a typed SUBMIT error and the daemon keeps serving;
+//     concurrent clients all see the same deterministic bytes; shutdown
+//     drains or cancels.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -493,6 +495,38 @@ TEST(MissionServiceTest, InvalidScenarioIsTypedErrorNotQueueSlot) {
   EXPECT_EQ(stats.queue_depth, 0u);
   auto live = client->stats();
   EXPECT_TRUE(live.ok()) << "connection must survive a client mistake";
+
+  client->shutdown();
+  daemon.wait();
+}
+
+// A scenario whose search window needs ~8e14 heatmap cells per tag must
+// fail SUBMIT with a typed error instead of reaching a worker, where the
+// allocation throws std::bad_alloc and ends the daemon. The daemon keeps
+// serving: STATS answers and a normal mission still completes.
+TEST(MissionServiceTest, OverBudgetScenarioIsTypedErrorAndDaemonKeepsServing) {
+  MissionService daemon;
+  ASSERT_TRUE(daemon.start().is_ok());
+  auto client = Client::connect(daemon.port());
+  ASSERT_TRUE(client.ok());
+
+  auto hostile = *sim::preset("warehouse");
+  ASSERT_TRUE(
+      sim::apply_override(hostile, "localize.search_halfwidth_m", "1e6").is_ok());
+  auto ack = client->submit(sim::serialize(hostile), 1);
+  ASSERT_FALSE(ack.ok());
+  EXPECT_EQ(ack.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(ack.status().to_string().find("exceeds the limit"), std::string::npos)
+      << ack.status().to_string();
+
+  auto live = client->stats();
+  ASSERT_TRUE(live.ok()) << live.status().to_string();
+  EXPECT_EQ(live->submitted, 0u);
+  auto next = client->submit(sim::serialize(quick_scenario()), 2);
+  ASSERT_TRUE(next.ok()) << next.status().to_string();
+  auto result = client->result(next->job_id, /*wait=*/true);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_TRUE(result->status.is_ok()) << result->status.to_string();
 
   client->shutdown();
   daemon.wait();
