@@ -131,11 +131,9 @@ Expected<LocalizationResult> localize_2d_coarse2fine(const DisentangledSet& set,
   return result;
 }
 
-/// Shared post-processing for the exact/incremental searches: peak finding,
+/// Post-processing for the exact/incremental searches: peak finding,
 /// optional multires refinement, selection. `map` spans the scan grid
-/// (coarse resolution when `multires`); this is the single code path behind
-/// both localize_2d_from and localize_2d_with_plane, so the batched runner
-/// cannot drift from the per-mission finish.
+/// (coarse resolution when `multires`), however the search built it.
 Expected<LocalizationResult> finish_from_map(const DisentangledSet& set,
                                              const LocalizerConfig& config,
                                              const Heatmap& map,
@@ -278,25 +276,6 @@ Expected<LocalizationResult> localize_2d_from(const DisentangledSet& set,
   } else {
     map = sar_heatmap(set, scan_grid, config.freq_hz, config.z_plane_m, threads,
                       config.kernel);
-  }
-  return finish_from_map(set, config, map, threads);
-}
-
-Expected<LocalizationResult> localize_2d_with_plane(const DisentangledSet& set,
-                                                    const LocalizerConfig& config,
-                                                    const Heatmap& map) {
-  obs::Span span("localize.2d");
-  const unsigned threads = clamp_thread_count(config.threads);
-  if (set.channels.empty()) {
-    return Status{StatusCode::kNoReference,
-                  "disentanglement left no measurements (embedded-tag "
-                  "reference too weak on every sample)"};
-  }
-  if (Status grid_status = validate_grid(config.grid); !grid_status.is_ok()) {
-    return grid_status;
-  }
-  if (config.search == SarSearch::kCoarseToFine) {
-    return localize_2d_coarse2fine(set, config, map, threads);
   }
   return finish_from_map(set, config, map, threads);
 }

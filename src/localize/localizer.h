@@ -73,27 +73,14 @@ Expected<LocalizationResult> localize_2d_from(const DisentangledSet& set,
 
 /// The grid the main heatmap sweep actually runs on for this config: the
 /// stride-widened coarse grid under kCoarseToFine, the coarse-resolution
-/// window when `multires` is set, the configured grid otherwise. This is
-/// the plane a batched runner must precompute to substitute for the sweep
-/// inside localize_2d_from.
+/// window when `multires` is set, the configured grid otherwise. Scenario
+/// validation budgets its cells.
 GridSpec localize_scan_grid(const LocalizerConfig& config);
 
 /// Fine cells the refinement after the scan may evaluate for one tag under
 /// this config, all candidates together: an upper bound, in double so that
 /// a hostile grid cannot overflow it. Scenario validation budgets it.
 double localize_refine_cells(const LocalizerConfig& config);
-
-/// Finish a localization whose main sweep was computed elsewhere: `map`
-/// must be a heatmap over localize_scan_grid(config) whose values are
-/// bit-identical to the sweep localize_2d_from would run (sar_heatmap /
-/// SarAccumulator — equivalent by contract). Peak finding, refinement,
-/// selection and every error path are the shared code localize_2d_from
-/// itself uses, so the result is bit-identical to the unbatched call.
-/// This is the batched mission runner's entry point onto the shared
-/// measurement plane.
-Expected<LocalizationResult> localize_2d_with_plane(const DisentangledSet& set,
-                                                    const LocalizerConfig& config,
-                                                    const Heatmap& map);
 
 /// Validate a search grid: positive resolution and non-empty extent on both
 /// axes. Returns kDegenerateGrid with the offending numbers otherwise.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "obs/trace.h"
+
 namespace rfly::localize {
 
 namespace {
@@ -34,6 +36,7 @@ class DisjointSets {
 
 std::vector<Peak> find_peaks(const Heatmap& map, double threshold_fraction,
                              double prominence_fraction) {
+  obs::Span span("localize.peaks");
   const std::size_t nx = map.grid.nx();
   const std::size_t ny = map.grid.ny();
   const std::size_t n = nx * ny;

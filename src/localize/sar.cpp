@@ -39,9 +39,8 @@ obs::Histogram& sar_chunk_seconds_fast() {
       "sar.row_chunk_seconds.fast", obs::HistogramSpec::duration_seconds());
   return h;
 }
-// Incremental-search telemetry: samples folded into accumulators (signed
-// adds and removes both count — they cost the same), and live estimates
-// emitted. Both update at batch granularity, never per cell.
+// Incremental-search telemetry: samples folded into accumulators and live
+// estimates emitted. Both update at batch granularity, never per cell.
 obs::Counter& sar_accumulator_samples() {
   static obs::Counter& c = obs::counter("sar.accumulator.samples");
   return c;
@@ -222,120 +221,6 @@ Heatmap sar_heatmap(const DisentangledSet& set, const GridSpec& grid, double fre
   return map;
 }
 
-SharedTrajectory SharedTrajectory::from(const std::vector<channel::Vec3>& positions) {
-  SharedTrajectory traj;
-  const std::size_t n = positions.size();
-  traj.px.reserve(n);
-  traj.py.reserve(n);
-  traj.pz.reserve(n);
-  for (const auto& p : positions) {
-    traj.px.push_back(p.x);
-    traj.py.push_back(p.y);
-    traj.pz.push_back(p.z);
-  }
-  return traj;
-}
-
-SharedGrid SharedGrid::from(const GridSpec& grid) {
-  SharedGrid out;
-  out.spec = grid;
-  const std::size_t nx = grid.nx();
-  const std::size_t ny = grid.ny();
-  out.xs.resize(nx);
-  out.ys.resize(ny);
-  for (std::size_t ix = 0; ix < nx; ++ix) out.xs[ix] = grid.x_at(ix);
-  for (std::size_t iy = 0; iy < ny; ++iy) out.ys[iy] = grid.y_at(iy);
-  return out;
-}
-
-void sar_heatmap_multi(const SharedTrajectory& trajectory, const SharedGrid& grid,
-                       double freq_hz, double z_plane, const MultiTagSlot* slots,
-                       std::size_t count, unsigned threads, SarKernel kernel) {
-  if (count == 0) return;
-  obs::Span heatmap_span("sar.heatmap_multi");
-  const bool fast = kernel == SarKernel::kFast;
-  (fast ? sar_kernel_fast_calls() : sar_kernel_exact_calls()).inc();
-
-  const double k = kTwoPi * freq_hz * 2.0 / kSpeedOfLight;  // round trip
-  const std::size_t L = trajectory.size();
-  const std::size_t nx = grid.spec.nx();
-  const std::size_t ny = grid.spec.ny();
-
-  // Flat per-tag pointer tables for the kernel ABI (plain pointers only in
-  // the per-ISA regions).
-  std::vector<const double*> hre(count), him(count);
-  std::vector<double*> values(count);
-  for (std::size_t t = 0; t < count; ++t) {
-    hre[t] = slots[t].hre;
-    him[t] = slots[t].him;
-    values[t] = slots[t].values;
-  }
-
-  // Same row sharding as sar_heatmap: each tag's cell accumulates its sum
-  // over l in the same fixed order into its own slot, so the planes are
-  // bit-identical at every thread count — and bit-identical to per-tag
-  // sar_heatmap calls (the per-term arithmetic below matches the single-tag
-  // loops exactly; only the loop nesting is blocked).
-  const std::size_t grain = std::max<std::size_t>(1, ny / 64);
-  parallel_for(
-      0, ny, grain,
-      [&](std::size_t row_begin, std::size_t row_end) {
-        if (fast) {
-          // Scratch: yz2 hoist plus per-tag lane accumulators (kLanes = 8
-          // in sar_kernel_impl.inc).
-          std::vector<double> scratch(L + 2 * count * 8);
-          SarKernelArgs args;
-          args.k = k;
-          args.px = trajectory.px.data();
-          args.py = trajectory.py.data();
-          args.pz = trajectory.pz.data();
-          args.count = L;
-          args.xs = grid.xs.data();
-          args.nx = nx;
-          args.ys = grid.ys.data();
-          args.z = z_plane;
-          args.scratch = scratch.data();
-          args.hre_tags = hre.data();
-          args.him_tags = him.data();
-          args.values_tags = values.data();
-          args.tags = count;
-          sar_kernel_active().rows_multi(args, row_begin, row_end);
-        } else {
-          // Exact multi-tag loop: per (cell, sample) the distance and the
-          // libm sincos are computed once and reused by every tag; each
-          // tag's accumulation is term-for-term the single-tag exact loop
-          // (same expressions, same order over l, same epilogue), compiled
-          // in this TU under the same contraction-safe flags — so each
-          // plane is bit-identical to sar_heatmap's exact path.
-          std::vector<double> re(count), im(count);
-          for (std::size_t iy = row_begin; iy < row_end; ++iy) {
-            const double y = grid.ys[iy];
-            for (std::size_t ix = 0; ix < nx; ++ix) {
-              const double x = grid.xs[ix];
-              for (std::size_t t = 0; t < count; ++t) re[t] = im[t] = 0.0;
-              for (std::size_t l = 0; l < L; ++l) {
-                const double dx = x - trajectory.px[l];
-                const double dy = y - trajectory.py[l];
-                const double dz = z_plane - trajectory.pz[l];
-                const double d = std::sqrt(dx * dx + dy * dy + dz * dz);
-                const double c = std::cos(k * d);
-                const double s = std::sin(k * d);
-                for (std::size_t t = 0; t < count; ++t) {
-                  re[t] += hre[t][l] * c - him[t][l] * s;
-                  im[t] += hre[t][l] * s + him[t][l] * c;
-                }
-              }
-              for (std::size_t t = 0; t < count; ++t) {
-                values[t][iy * nx + ix] = std::abs(cdouble{re[t], im[t]});
-              }
-            }
-          }
-        }
-        sar_cells().add((row_end - row_begin) * nx * count);
-      },
-      threads);
-}
-
 SarAccumulator::SarAccumulator(const GridSpec& grid, double freq_hz,
                                double z_plane, SarKernel kernel,
                                unsigned threads)
@@ -354,7 +239,7 @@ SarAccumulator::SarAccumulator(const GridSpec& grid, double freq_hz,
   im_.assign(nx * ny, 0.0);
 }
 
-void SarAccumulator::apply(const DisentangledSet& set, double sign) {
+void SarAccumulator::add_measurements(const DisentangledSet& set) {
   if (set.channels.empty()) return;
   const SarGeometry geo = SarGeometry::from(set, freq_hz_);
   const std::size_t L = geo.size();
@@ -386,13 +271,12 @@ void SarAccumulator::apply(const DisentangledSet& set, double sign) {
           args.scratch = scratch.data();
           args.acc_re = re_.data();
           args.acc_im = im_.data();
-          args.sign = sign;
           sar_kernel_active().accumulate(args, row_begin, row_end);
         } else {
           // The batch exact loop's arithmetic, term for term: the batch
-          // folds in registers, the single plane update per cell is
-          // acc += sign * block (exact for sign = +/-1), so any grouping
-          // of adds replays the batch loop's rounding sequence.
+          // folds in registers and updates each cell's plane once,
+          // acc += block, so any grouping of adds replays the batch loop's
+          // rounding sequence.
           for (std::size_t iy = row_begin; iy < row_end; ++iy) {
             const double y = ys_[iy];
             double* acc_re = re_.data() + iy * nx;
@@ -410,8 +294,8 @@ void SarAccumulator::apply(const DisentangledSet& set, double sign) {
                 re += geo.hre[l] * c - geo.him[l] * s;
                 im += geo.hre[l] * s + geo.him[l] * c;
               }
-              acc_re[ix] += sign * re;
-              acc_im[ix] += sign * im;
+              acc_re[ix] += re;
+              acc_im[ix] += im;
             }
           }
         }
@@ -419,19 +303,7 @@ void SarAccumulator::apply(const DisentangledSet& set, double sign) {
       },
       threads);
   sar_accumulator_samples().add(L);
-  if (sign > 0.0) {
-    count_ += L;
-  } else {
-    count_ -= std::min(count_, L);
-  }
-}
-
-void SarAccumulator::add_measurements(const DisentangledSet& set) {
-  apply(set, 1.0);
-}
-
-void SarAccumulator::remove_measurements(const DisentangledSet& set) {
-  apply(set, -1.0);
+  count_ += L;
 }
 
 void SarAccumulator::add_measurement(const channel::Vec3& position,
@@ -439,7 +311,7 @@ void SarAccumulator::add_measurement(const channel::Vec3& position,
   DisentangledSet one;
   one.positions.push_back(position);
   one.channels.push_back(channel);
-  apply(one, 1.0);
+  add_measurements(one);
 }
 
 Heatmap SarAccumulator::finalize() const {

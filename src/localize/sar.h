@@ -74,48 +74,6 @@ Heatmap sar_heatmap(const DisentangledSet& set, const GridSpec& grid, double fre
                     double z_plane = 0.0, unsigned threads = 0,
                     SarKernel kernel = SarKernel::kExact);
 
-/// Trajectory positions as shared SoA arrays — the shareable half of
-/// SarGeometry (channel weights are per tag; positions repeat whenever the
-/// same flight serves many tags). The batch runner builds one per plane
-/// group and shares it read-only across the group's multi-tag sweep.
-struct SharedTrajectory {
-  std::vector<double> px, py, pz;
-  std::size_t size() const { return px.size(); }
-  static SharedTrajectory from(const std::vector<channel::Vec3>& positions);
-};
-
-/// A grid with its cell coordinates hoisted once — the other shareable
-/// buffer (sar_heatmap rebuilds xs/ys per call; a plane group builds one).
-/// xs/ys hold the identical x_min + i*res values sar_heatmap computes, so
-/// sharing them is bit-invisible.
-struct SharedGrid {
-  GridSpec spec;
-  std::vector<double> xs, ys;
-  static SharedGrid from(const GridSpec& grid);
-};
-
-/// One tag's slice of a multi-tag sweep: channel weights over the shared
-/// trajectory (length = trajectory size) and the output plane to fill
-/// (ny rows of nx, row-major — typically a Heatmap::values buffer).
-struct MultiTagSlot {
-  const double* hre = nullptr;
-  const double* him = nullptr;
-  double* values = nullptr;
-};
-
-/// Blocked multi-tag heatmap sweep: evaluate `count` tags' planes over one
-/// shared trajectory and one shared grid in a single row-sharded pass, so
-/// the per-(cell, sample) distance and sincos — the dominant cost — are
-/// computed once and reused by every tag. Each tag's plane is bit-identical
-/// to sar_heatmap over that tag alone (both kernels; pinned by
-/// tests/test_batch_parity.cpp), so the batched mission runner can hoist
-/// grouped localize stages onto one shared plane without changing a bit.
-/// `threads`/`kernel` as in sar_heatmap.
-void sar_heatmap_multi(const SharedTrajectory& trajectory, const SharedGrid& grid,
-                       double freq_hz, double z_plane, const MultiTagSlot* slots,
-                       std::size_t count, unsigned threads = 0,
-                       SarKernel kernel = SarKernel::kExact);
-
 /// Evaluate P at a single 3D point (used by peak refinement, the 3D
 /// extension and tests). The exact path is the seed loop, bit-identical.
 double sar_projection(const DisentangledSet& set, const channel::Vec3& p,
@@ -158,10 +116,6 @@ struct LiveEstimate {
 ///   - With the exact kernel, finalize() is bit-identical to sar_heatmap()
 ///     over the same set; with the fast kernel it reproduces the same
 ///     argmax (values within the documented fast-kernel tolerance).
-///   - remove_measurements() of everything added so far, in one call in
-///     add order, returns the planes to the pinned all-zero state exactly
-///     (the subtracted register fold equals the accumulated value, and
-///     x - x = +0.0). Partial removal is approximate-inverse only.
 ///
 /// `threads` as in sar_heatmap: rows shard, results identical at every
 /// setting. Not thread-safe itself: one writer at a time.
@@ -175,8 +129,6 @@ class SarAccumulator {
 
   /// Fold a batch of disentangled measurements into the partial sums.
   void add_measurements(const DisentangledSet& set);
-  /// Subtract a batch previously added (see the equivalence contract).
-  void remove_measurements(const DisentangledSet& set);
   /// Single-sample convenience — the per-waypoint streaming path.
   void add_measurement(const channel::Vec3& position, cdouble channel);
 
@@ -190,13 +142,11 @@ class SarAccumulator {
   LiveEstimate estimate(std::size_t expected_measurements = 0) const;
 
   /// Raw partial-sum planes, row-major like Heatmap::values — the test
-  /// surface for the pinned-empty-state guarantee.
+  /// surface for the call-grouping guarantee.
   const std::vector<double>& partial_re() const { return re_; }
   const std::vector<double>& partial_im() const { return im_; }
 
  private:
-  void apply(const DisentangledSet& set, double sign);
-
   GridSpec grid_;
   double freq_hz_ = 915e6;
   double z_plane_ = 0.0;

@@ -113,24 +113,23 @@ std::vector<SarKernelVariant> build_variants() {
   std::vector<SarKernelVariant> v;
   v.push_back({"scalar", true, &kern_scalar::rows, &kern_scalar::projection,
                &kern_scalar::sincos_batch, &kern_scalar::accumulate_rows,
-               &kern_scalar::magnitude_rows, &kern_scalar::rows_multi});
+               &kern_scalar::magnitude_rows});
   v.push_back({simd::baseline_isa_name(), true, &kern_base::rows,
                &kern_base::projection, &kern_base::sincos_batch,
-               &kern_base::accumulate_rows, &kern_base::magnitude_rows,
-               &kern_base::rows_multi});
+               &kern_base::accumulate_rows, &kern_base::magnitude_rows});
 #if RFLY_KERNEL_HAVE_X86_VARIANTS
   v.push_back({"avx2",
                static_cast<bool>(__builtin_cpu_supports("avx2")) &&
                    static_cast<bool>(__builtin_cpu_supports("fma")),
                &kern_avx2::rows, &kern_avx2::projection,
                &kern_avx2::sincos_batch, &kern_avx2::accumulate_rows,
-               &kern_avx2::magnitude_rows, &kern_avx2::rows_multi});
+               &kern_avx2::magnitude_rows});
   v.push_back({"avx512",
                static_cast<bool>(__builtin_cpu_supports("avx512f")) &&
                    static_cast<bool>(__builtin_cpu_supports("avx512dq")),
                &kern_avx512::rows, &kern_avx512::projection,
                &kern_avx512::sincos_batch, &kern_avx512::accumulate_rows,
-               &kern_avx512::magnitude_rows, &kern_avx512::rows_multi});
+               &kern_avx512::magnitude_rows});
 #endif
   return v;
 }

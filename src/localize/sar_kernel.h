@@ -91,20 +91,9 @@ struct SarKernelArgs {
   double* values = nullptr;    // full row-major heatmap, ny rows of nx
   double* scratch = nullptr;   // caller-owned, >= count doubles, per worker
   // Incremental-search extension (SarAccumulator): persistent per-cell
-  // complex partial-sum planes, row-major like `values`, and the signed
-  // weight (+1 add, -1 remove) applied by `accumulate`.
+  // complex partial-sum planes, row-major like `values`.
   double* acc_re = nullptr;
   double* acc_im = nullptr;
-  double sign = 1.0;
-  // Multi-tag extension (rows_multi): `tags` tags sharing one trajectory
-  // (px/py/pz/count above) and one grid, each with its own channel arrays
-  // and its own full ny-by-nx output plane. `hre`/`him`/`values` above are
-  // ignored by rows_multi; scratch must hold count + 2 * tags * kLanes
-  // doubles (yz2 hoist plus the per-tag lane accumulators).
-  const double* const* hre_tags = nullptr;
-  const double* const* him_tags = nullptr;
-  double* const* values_tags = nullptr;
-  std::size_t tags = 0;
 };
 
 /// One compiled variant of the fast kernel. `supported` is the runtime CPU
@@ -123,8 +112,8 @@ struct SarKernelVariant {
   /// sweep; the row/projection kernels inline the same polynomial).
   void (*sincos)(const double* x, double* sins, double* coss,
                  std::size_t n) = nullptr;
-  /// Fold args.sign * (this batch's contribution) into the partial-sum
-  /// planes acc_re/acc_im for rows [row_begin, row_end). Each lane folds
+  /// Add this batch's contribution to the partial-sum planes
+  /// acc_re/acc_im for rows [row_begin, row_end). Each lane folds
   /// the batch in registers (same blocked layout and per-term arithmetic
   /// as `rows`) before touching the plane, so adding a whole aperture in
   /// one call, per-waypoint, or in any grouping yields identical bits.
@@ -135,16 +124,6 @@ struct SarKernelVariant {
   /// `rows` epilogue so a one-call accumulate + magnitudes round trip
   /// reproduces `rows` bit-for-bit.
   void (*magnitudes)(const SarKernelArgs& args, std::size_t row_begin,
-                     std::size_t row_end) = nullptr;
-  /// Blocked multi-tag sweep (batched execution): evaluate rows
-  /// [row_begin, row_end) of args.tags heatmap planes that share one
-  /// trajectory and one grid, in a single pass. The per-cell distance and
-  /// sincos — the dominant cost — are computed once per (cell, sample) and
-  /// reused by every tag; each tag's lane accumulation uses the same
-  /// per-term expressions as `rows`, so every tag's plane is bit-identical
-  /// to a `rows` call over that tag alone (pinned per ISA by
-  /// tests/test_batch_parity.cpp).
-  void (*rows_multi)(const SarKernelArgs& args, std::size_t row_begin,
                      std::size_t row_end) = nullptr;
 };
 

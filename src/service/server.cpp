@@ -224,7 +224,7 @@ bool MissionService::handle_submit(int fd, const std::string& payload) {
   }
   // Cache key is the *canonical* serialized form, so two texts that parse
   // to the same scenario (comment/ordering differences) share one entry.
-  const std::string canonical = sim::serialize(*parsed);
+  std::string canonical = sim::serialize(*parsed);
 
   bool draining = false;
   {
@@ -252,8 +252,6 @@ bool MissionService::handle_submit(int fd, const std::string& payload) {
       std::lock_guard<std::mutex> lock(mu_);
       id = next_job_id_++;
       Job job;
-      job.scenario = std::move(parsed.value());
-      job.canonical_text = canonical;
       job.seed = seed;
       job.state = JobState::kDone;
       job.cached = true;
@@ -285,7 +283,7 @@ bool MissionService::handle_submit(int fd, const std::string& payload) {
       id = next_job_id_++;
       Job job;
       job.scenario = std::move(parsed.value());
-      job.canonical_text = canonical;
+      job.canonical_text = std::move(canonical);
       job.seed = seed;
       job.state = JobState::kQueued;
       job.submit_seconds = now_seconds();
@@ -478,10 +476,11 @@ void MissionService::worker_loop() {
     if constexpr (obs::kEnabled) {
       queue_wait_hist().observe(now_seconds() - job.submit_seconds);
     }
-    // Copy what the simulation needs, then drop the lock for the duration
-    // of the mission: SUBMIT/STATUS/STATS stay responsive while jobs run.
-    const sim::BatchJob batch_job{job.scenario, job.seed};
-    const std::string canonical = job.canonical_text;
+    // Move out what the simulation needs — the record keeps only what
+    // STATUS and RESULT read — then drop the lock for the duration of the
+    // mission: SUBMIT/STATUS/STATS stay responsive while jobs run.
+    const sim::BatchJob batch_job{std::move(job.scenario), job.seed};
+    const std::string canonical = std::move(job.canonical_text);
     lock.unlock();
 
     const double start = now_seconds();

@@ -87,6 +87,8 @@ class MissionService {
 
  private:
   struct Job {
+    // Needed only until a worker starts the job: the worker moves both out,
+    // and a cache hit never stores them.
     sim::Scenario scenario;
     std::string canonical_text;  // serialize(scenario) — the cache key
     std::uint64_t seed = 0;

@@ -1,13 +1,9 @@
 #include "sim/batch.h"
 
-#include <array>
 #include <chrono>
-#include <cstring>
-#include <map>
-#include <optional>
 
 #include "common/thread_pool.h"
-#include "localize/sar.h"
+#include "localize/localizer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/fleet.h"
@@ -38,119 +34,18 @@ obs::Histogram& batch_job_seconds() {
   return h;
 }
 
-/// Orders deferred tasks by what decides whether they can share one SAR
-/// plane: scan grid, frequency, z plane, kernel and trajectory, compared as
-/// bit patterns. Two tasks are equivalent exactly when one blocked
-/// multi-tag sweep serves both.
-struct PlaneOrder {
-  static std::array<double, 7> scalars(const localize::LocalizerConfig& c) {
-    const localize::GridSpec g = localize::localize_scan_grid(c);
-    return {g.x_min, g.x_max, g.y_min, g.y_max, g.resolution_m, c.freq_hz, c.z_plane_m};
-  }
-  bool operator()(const DeferredLocalize* a, const DeferredLocalize* b) const {
-    const auto sa = scalars(a->config);
-    const auto sb = scalars(b->config);
-    if (const int c = std::memcmp(sa.data(), sb.data(), sizeof sa); c != 0) return c < 0;
-    if (a->config.kernel != b->config.kernel) return a->config.kernel < b->config.kernel;
-    const auto& pa = a->half_link.positions;
-    const auto& pb = b->half_link.positions;
-    if (pa.size() != pb.size()) return pa.size() < pb.size();
-    return !pa.empty() &&
-           std::memcmp(pa.data(), pb.data(), pa.size() * sizeof(channel::Vec3)) < 0;
-  }
-};
-
-/// One member of a plane group: a deferred task and the job it belongs to.
-struct Member {
-  std::size_t job = 0;
-  const DeferredLocalize* task = nullptr;
-};
-
-/// Phase 2: evaluate every deferred task — grouped multi-tag sweeps for the
-/// plane-eligible ones, the ordinary localize_2d_from path for degenerate
-/// ones — and fold each result back into its own mission. Coordinator-serial
-/// except the sweeps/completions, which parallelize internally.
-void run_deferred_plane(const std::vector<std::vector<DeferredLocalize>>& tasks,
-                        std::vector<BatchResult>& results,
-                        const BatchConfig& config, BatchRunInfo* info) {
+/// Phase 2: localize every deferred task in (job, item) order and fold each
+/// result back into its own mission. Each call sweeps and refines on the
+/// whole pool, so the loop itself stays on the coordinator.
+void run_deferred(const std::vector<std::vector<DeferredLocalize>>& tasks,
+                  std::vector<BatchResult>& results) {
   obs::Span plane_span("batch.plane");
-
-  // Group plane-eligible tasks job by job and item by item, so each group's
-  // members and the groups themselves come in (job, item) order; run the
-  // degenerate ones (empty set, invalid grid) through the unbatched entry
-  // point so their error statuses stay string-identical to the inline stage.
-  std::vector<std::vector<Member>> groups;
-  std::map<const DeferredLocalize*, std::size_t, PlaneOrder> group_of;
   for (std::size_t job = 0; job < tasks.size(); ++job) {
     for (const DeferredLocalize& task : tasks[job]) {
-      if (task.half_link.channels.empty() ||
-          !localize::validate_grid(task.config.grid).is_ok()) {
-        const auto start = Clock::now();
-        const auto result = localize::localize_2d_from(task.half_link, task.config);
-        apply_deferred_result(results[job].run, task.item_index, task.tag_index,
-                              result, seconds_since(start));
-        continue;
-      }
-      const auto [it, fresh] = group_of.try_emplace(&task, groups.size());
-      if (fresh) groups.emplace_back();
-      groups[it->second].push_back({job, &task});
-    }
-  }
-  if (info) info->plane_groups = groups.size();
-
-  for (const std::vector<Member>& group : groups) {
-    const DeferredLocalize& rep = *group.front().task;
-    const localize::GridSpec scan_grid = localize::localize_scan_grid(rep.config);
-    const auto trajectory = localize::SharedTrajectory::from(rep.half_link.positions);
-    const auto shared_grid = localize::SharedGrid::from(scan_grid);
-    const std::size_t L = trajectory.size();
-    const std::size_t count = group.size();
-
-    // Per-member channel weights, split re/im, and the heatmap the sweep
-    // fills and the localizer then reads.
-    std::vector<std::vector<double>> hre(count, std::vector<double>(L));
-    std::vector<std::vector<double>> him(count, std::vector<double>(L));
-    std::vector<localize::Heatmap> maps(count);
-    std::vector<localize::MultiTagSlot> slots(count);
-    for (std::size_t m = 0; m < count; ++m) {
-      const auto& channels = group[m].task->half_link.channels;
-      for (std::size_t l = 0; l < L; ++l) {
-        hre[m][l] = channels[l].real();
-        him[m][l] = channels[l].imag();
-      }
-      maps[m].grid = scan_grid;
-      maps[m].values.resize(scan_grid.nx() * scan_grid.ny());
-      slots[m] = {hre[m].data(), him[m].data(), maps[m].values.data()};
-    }
-
-    const auto sweep_start = Clock::now();
-    sar_heatmap_multi(trajectory, shared_grid, rep.config.freq_hz,
-                      rep.config.z_plane_m, slots.data(), count,
-                      clamp_thread_count(rep.config.threads), rep.config.kernel);
-    const double sweep_share = seconds_since(sweep_start) / static_cast<double>(count);
-
-    // Finish each member off its own plane. Disjoint outputs, deterministic
-    // at any thread count; the refine pass inside runs serially when nested.
-    std::vector<std::optional<Expected<localize::LocalizationResult>>> done(count);
-    std::vector<double> seconds(count);
-    parallel_for(
-        0, count, 1,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t m = begin; m < end; ++m) {
-            const DeferredLocalize& task = *group[m].task;
-            const auto start = Clock::now();
-            done[m] = localize::localize_2d_with_plane(task.half_link, task.config,
-                                                       maps[m]);
-            seconds[m] = sweep_share + seconds_since(start);
-          }
-        },
-        clamp_thread_count(config.threads));
-
-    // Serial write-back: members of one group may share a mission.
-    for (std::size_t m = 0; m < count; ++m) {
-      const DeferredLocalize& task = *group[m].task;
-      apply_deferred_result(results[group[m].job].run, task.item_index,
-                            task.tag_index, *done[m], seconds[m]);
+      const auto start = Clock::now();
+      const auto result = localize::localize_2d_from(task.half_link, task.config);
+      apply_deferred_result(results[job].run, task.item_index, task.tag_index,
+                            result, seconds_since(start));
     }
   }
 }
@@ -234,14 +129,14 @@ std::vector<BatchResult> run_batch(const std::vector<BatchJob>& jobs,
       },
       clamp_thread_count(config.threads));
 
-  // --- Phase 2 (coordinator): shared-plane evaluation + write-back.
+  // --- Phase 2 (coordinator): deferred localization + write-back.
   std::size_t deferred = 0;
   for (const auto& job_tasks : tasks) deferred += job_tasks.size();
   if (info) {
     *info = BatchRunInfo{};
     info->deferred_tasks = deferred;
   }
-  if (deferred > 0) run_deferred_plane(tasks, results, config, info);
+  if (deferred > 0) run_deferred(tasks, results);
 
   if (info) info->wall_seconds = seconds_since(batch_start);
   return results;

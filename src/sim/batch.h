@@ -11,12 +11,11 @@
 //     pipeline independently, exactly as run_scenario would.
 //
 //   kBatched (default) — additionally, fault-free jobs defer their localize
-//     stages; the runner groups the tasks that share a trajectory/grid/
-//     frequency plane (the tags of one mission, and repeated jobs) and
-//     sweeps each group's SAR heatmaps in one blocked multi-tag pass on the
-//     whole pool. Nothing a run builds outlives it. Behaviorally invisible:
-//     every BatchResult is bit-identical to the per-mission mode at any
-//     thread count (pinned by tests/test_batch_parity.cpp).
+//     stages; once every mission has run, the runner localizes the deferred
+//     tags one at a time in (job, item) order, each SAR sweep and refinement
+//     on the whole pool. Nothing a run builds outlives it. Behaviorally
+//     invisible: every BatchResult is bit-identical to the per-mission mode
+//     at any thread count (pinned by tests/test_batch_parity.cpp).
 #pragma once
 
 #include <cstdint>
@@ -45,7 +44,7 @@ struct BatchResult {
 
 enum class BatchMode : std::uint8_t {
   kPerMission,  // independent pipelines, no cross-mission sharing
-  kBatched,     // deferred localize on shared multi-tag SAR planes
+  kBatched,     // deferred localize, each tag swept on the whole pool
 };
 
 /// Stable lower-case token ("per-mission" / "batched"), used by --batch.
@@ -59,18 +58,16 @@ struct BatchConfig {
   BatchMode mode = BatchMode::kBatched;
 };
 
-/// Instrumentation from one batch run — the sharing the batched mode found
-/// and what it cost. Purely observational: none of it feeds back into
-/// results.
+/// Instrumentation from one batch run. Purely observational: none of it
+/// feeds back into results.
 struct BatchRunInfo {
   double wall_seconds = 0.0;
-  std::size_t plane_groups = 0;    // multi-tag sweeps launched
   std::size_t deferred_tasks = 0;  // localize stages hoisted out of missions
 };
 
 /// Run every job; never throws away work — a failed job is a BatchResult
 /// with its Status, in the same position as its job. `info`, when non-null,
-/// receives the run's sharing/throughput instrumentation.
+/// receives the run's deferral/throughput instrumentation.
 std::vector<BatchResult> run_batch(const std::vector<BatchJob>& jobs,
                                    const BatchConfig& config = {},
                                    BatchRunInfo* info = nullptr);

@@ -394,7 +394,7 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
         // --- localize: SAR over a window centered on the measurement
         // centroid. --------------------------------------------------------
         if (deferred != nullptr && !faulty) {
-          // Hoisted onto the batch runner's shared plane: capture the stage
+          // Deferred to the batch runner's phase 2: capture the stage
           // inputs, leave the item pending (not localized, status OK). Safe
           // only because faults are off — the single-pass loop below never
           // consumes `localized`, so the outcome can be folded in later via

@@ -59,7 +59,7 @@ struct MissionRun {
 };
 
 /// A localize stage the pipeline skipped so a batch runner can execute it
-/// on the shared measurement plane: everything the stage needs (the
+/// after every mission has run: everything the stage needs (the
 /// disentangled half-link set and the fully resolved localizer config) plus
 /// where its result belongs. The pipeline only defers when the stage is
 /// side-effect free — faults disabled, so no retry loop consumes the
@@ -95,10 +95,10 @@ struct InventoryOverride {
 ///
 /// `deferred`: when non-null AND faults are disabled, per-tag localize
 /// stages are not executed — each is appended to `deferred` and the item is
-/// left pending (not localized, status OK). The caller must finish every
-/// task (localize_2d_with_plane or localize_2d_from on task.half_link /
-/// task.config) and fold the outcome back with apply_deferred_result to
-/// obtain the same MissionRun the inline path produces. With faults
+/// left pending (not localized, status OK). The caller must run
+/// localize_2d_from(task.half_link, task.config) on every task and fold the
+/// outcome back with apply_deferred_result to obtain the same MissionRun the
+/// inline path produces. With faults
 /// enabled the parameter is ignored: the retry loop needs each localize
 /// outcome immediately.
 Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,

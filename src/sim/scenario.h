@@ -128,7 +128,7 @@ inline constexpr std::size_t kMaxLegWaypoints = std::size_t{1} << 20;
 inline constexpr std::size_t kMaxTagWaypoints = std::size_t{1} << 28;
 /// Cells of one tag's scan grid (localize_scan_grid of its window).
 inline constexpr std::size_t kMaxScanCells = std::size_t{1} << 22;
-/// Tags x scan cells: the heatmaps one mission may hold at once.
+/// Tags x scan cells: the SAR sweep work of one mission's localizations.
 inline constexpr std::size_t kMaxMissionScanCells = std::size_t{1} << 26;
 /// Cells one tag's peak refinement evaluates (localize_refine_cells).
 inline constexpr std::size_t kMaxRefineCells = std::size_t{1} << 18;

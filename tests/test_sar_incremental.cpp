@@ -7,9 +7,6 @@
 //     sar.h: every grouping replays the same per-cell rounding sequence);
 //   - a one-call accumulate + magnitudes round trip reproduces every
 //     compiled kernel variant's `rows` output bit-for-bit;
-//   - removing everything added (in one call) returns the planes to exact
-//     +0.0 — the pinned empty state — after which the accumulator is
-//     indistinguishable from a fresh one;
 //   - the live per-waypoint estimate sequence is deterministic per seed and
 //     carries sane confidence/coverage figures.
 //
@@ -100,32 +97,6 @@ TEST_P(SarIncremental, CallGroupingDoesNotChangeTheBits) {
   }
 }
 
-TEST_P(SarIncremental, RemoveEverythingReturnsToPinnedEmptyState) {
-  const auto [seed, kernel] = GetParam();
-  const auto set = random_set(static_cast<std::uint64_t>(80 + seed), 25);
-  const GridSpec grid{-1.0, 2.5, -0.5, 2.0, 0.05};
-
-  SarAccumulator acc(grid, kFreq, 0.0, kernel);
-  acc.add_measurements(set);
-  EXPECT_EQ(acc.measurement_count(), set.channels.size());
-  acc.remove_measurements(set);
-  EXPECT_EQ(acc.measurement_count(), 0u);
-  for (std::size_t i = 0; i < acc.partial_re().size(); ++i) {
-    ASSERT_EQ(acc.partial_re()[i], 0.0) << "re cell " << i;
-    ASSERT_EQ(acc.partial_im()[i], 0.0) << "im cell " << i;
-  }
-
-  // After the round trip the accumulator is a fresh one: re-adding gives
-  // the same bits as a never-touched accumulator.
-  SarAccumulator fresh(grid, kFreq, 0.0, kernel);
-  fresh.add_measurements(set);
-  acc.add_measurements(set);
-  for (std::size_t i = 0; i < acc.partial_re().size(); ++i) {
-    ASSERT_EQ(acc.partial_re()[i], fresh.partial_re()[i]) << "re cell " << i;
-    ASSERT_EQ(acc.partial_im()[i], fresh.partial_im()[i]) << "im cell " << i;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     SeedsByKernel, SarIncremental,
     ::testing::Combine(::testing::Range(1, 4),
@@ -178,20 +149,11 @@ TEST(SarIncrementalVariants, AccumulatePlusMagnitudesReproducesRows) {
     args.values = streamed.data();
     args.acc_re = acc_re.data();
     args.acc_im = acc_im.data();
-    args.sign = 1.0;
     variant.accumulate(args, 0, ny);
     variant.magnitudes(args, 0, ny);
 
     for (std::size_t i = 0; i < reference.size(); ++i) {
       ASSERT_EQ(streamed[i], reference[i]) << variant.isa << " cell " << i;
-    }
-
-    // And the signed removal zeroes the planes exactly.
-    args.sign = -1.0;
-    variant.accumulate(args, 0, ny);
-    for (std::size_t i = 0; i < acc_re.size(); ++i) {
-      ASSERT_EQ(acc_re[i], 0.0) << variant.isa << " re cell " << i;
-      ASSERT_EQ(acc_im[i], 0.0) << variant.isa << " im cell " << i;
     }
   }
 }
