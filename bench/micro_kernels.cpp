@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the system's hot kernels: the SAR
-// grid projection (localization inner loop), the relay's per-sample chain,
-// and the FM0 decoder. These bound how fast the full experiments can run.
+// grid projection (localization inner loop), peak extraction, the relay's
+// per-sample chain, and the FM0 decoder. These bound how fast the full experiments can run.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -18,6 +18,8 @@
 #include "localize/localizer.h"
 #include "relay/coupling.h"
 #include "relay/rfly_relay.h"
+#include "sim/pipeline.h"
+#include "sim/scenario.h"
 
 using namespace rfly;
 
@@ -211,6 +213,39 @@ void BM_Localize3d(benchmark::State& state) {
 }
 BENCHMARK(BM_Localize3d)->DenseRange(0, 2)->ArgName("search")->Unit(
     benchmark::kMillisecond);
+
+/// The scan map of one deferred warehouse tag, as warehouse_sweep's batch
+/// phase 2 sweeps it: fast kernel, the task's own scan grid.
+localize::Heatmap warehouse_scan_map() {
+  sim::Scenario scenario = *sim::preset("warehouse");
+  scenario.sar_kernel = localize::SarKernel::kFast;
+  const sim::MissionInputs in = sim::materialize(scenario);
+  std::vector<sim::DeferredLocalize> deferred;
+  const auto run = sim::run_mission_pipeline(in.config, in.environment, in.reader_position,
+                                             in.plan, in.tags, in.db, 1, in.faults,
+                                             &deferred);
+  if (!run || deferred.empty()) return {};
+  const sim::DeferredLocalize& task = deferred.front();
+  return localize::sar_heatmap(task.half_link, localize::localize_scan_grid(task.config),
+                               task.config.freq_hz, task.config.z_plane_m, 1,
+                               task.config.kernel);
+}
+
+// Peak extraction (watershed prominence sweep) on map 0, make_set's
+// free-space tag, and map 1, a warehouse scan map (multipath ridges and
+// ghosts); both about 6,600 cells.
+void BM_FindPeaks(benchmark::State& state) {
+  const localize::Heatmap map =
+      state.range(0) == 0
+          ? localize::sar_heatmap(make_set(40), {4.0, 6.0, -0.5, 1.5, 0.025}, 916e6,
+                                  0.0, 1, localize::SarKernel::kFast)
+          : warehouse_scan_map();
+  if (map.values.empty()) return state.SkipWithError("no deferred warehouse task");
+  for (auto _ : state) benchmark::DoNotOptimize(localize::find_peaks(map));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(map.values.size()));
+}
+BENCHMARK(BM_FindPeaks)->Arg(0)->Arg(1)->ArgName("map")->Unit(benchmark::kMicrosecond);
 
 void BM_SincosVariant(benchmark::State& state,
                       const localize::SarKernelVariant* variant) {

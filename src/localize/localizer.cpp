@@ -147,7 +147,7 @@ Expected<LocalizationResult> finish_from_map(const DisentangledSet& set,
   }
 
   if (config.multires) {
-    const int n = std::min<int>(config.refine_candidates,
+    const int n = std::min<int>(std::max(config.refine_candidates, 1),
                                 static_cast<int>(peaks.size()));
     peaks.resize(static_cast<std::size_t>(n));
     // Each candidate refines independently into its own slot; identical at
@@ -243,11 +243,13 @@ Expected<LocalizationResult> localize_2d_checked(const MeasurementSet& measureme
 
 Expected<LocalizationResult> localize_2d_from(const DisentangledSet& set,
                                               const LocalizerConfig& config) {
-  obs::Span span("localize.2d");
-  // One clamp at the entry point covers the heatmap sweep and the refine
-  // pass below; a request beyond the hardware is scheduling noise anyway
-  // (chunking is thread-count independent).
-  const unsigned threads = clamp_thread_count(config.threads);
+  Expected<Heatmap> map = localize_2d_sweep(set, config);
+  if (!map) return map.status();
+  return localize_2d_finish(set, config, *map);
+}
+
+Expected<Heatmap> localize_2d_sweep(const DisentangledSet& set,
+                                    const LocalizerConfig& config) {
   if (set.channels.empty()) {
     return Status{StatusCode::kNoReference,
                   "disentanglement left no measurements (embedded-tag "
@@ -257,25 +259,30 @@ Expected<LocalizationResult> localize_2d_from(const DisentangledSet& set,
     return grid_status;
   }
   const GridSpec scan_grid = localize_scan_grid(config);
-  if (config.search == SarSearch::kCoarseToFine) {
-    const Heatmap cmap = sar_heatmap(set, scan_grid, config.freq_hz,
-                                     config.z_plane_m, threads, config.kernel);
-    return localize_2d_coarse2fine(set, config, cmap, threads);
-  }
-
-  Heatmap map;
   if (config.search == SarSearch::kIncremental) {
     // Same sums through the accumulator: bit-identical to the batch sweep
     // with the exact kernel (see SarAccumulator's equivalence contract),
     // so everything downstream — peaks, refinement, selection — matches
     // the exact search unchanged.
     SarAccumulator acc(scan_grid, config.freq_hz, config.z_plane_m,
-                       config.kernel, threads);
+                       config.kernel, config.threads);
     acc.add_measurements(set);
-    map = acc.finalize();
-  } else {
-    map = sar_heatmap(set, scan_grid, config.freq_hz, config.z_plane_m, threads,
-                      config.kernel);
+    return acc.finalize();
+  }
+  // The exact search, and the coarse sweep of coarse-to-fine.
+  return sar_heatmap(set, scan_grid, config.freq_hz, config.z_plane_m,
+                     config.threads, config.kernel);
+}
+
+Expected<LocalizationResult> localize_2d_finish(const DisentangledSet& set,
+                                                const LocalizerConfig& config,
+                                                const Heatmap& map) {
+  obs::Span span("localize.2d");
+  // A request beyond the hardware is scheduling noise anyway (chunking is
+  // thread-count independent).
+  const unsigned threads = clamp_thread_count(config.threads);
+  if (config.search == SarSearch::kCoarseToFine) {
+    return localize_2d_coarse2fine(set, config, map, threads);
   }
   return finish_from_map(set, config, map, threads);
 }

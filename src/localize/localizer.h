@@ -67,9 +67,28 @@ Expected<LocalizationResult> localize_2d_checked(const MeasurementSet& measureme
 /// Stage-level entry: localize an already-disentangled half-link set (the
 /// mission pipeline times disentanglement and SAR search as separate
 /// stages). Same error vocabulary as localize_2d_checked minus the
-/// disentanglement step.
+/// disentanglement step. It is localize_2d_sweep followed by
+/// localize_2d_finish; the batch runner calls the two halves itself so that
+/// it can finish several tags at once (sim/batch.h).
 Expected<LocalizationResult> localize_2d_from(const DisentangledSet& set,
                                               const LocalizerConfig& config);
+
+/// First half of localize_2d_from: check the set (kNoReference when it is
+/// empty) and the grid (kDegenerateGrid), then sweep localize_scan_grid()
+/// with the configured search (exact, incremental, or the coarse sweep of
+/// coarse-to-fine) and kernel, on up to `config.threads` threads.
+Expected<Heatmap> localize_2d_sweep(const DisentangledSet& set,
+                                    const LocalizerConfig& config);
+
+/// Second half of localize_2d_from: peak extraction, refinement and
+/// selection (kNoPeaks when no candidate reaches the threshold) over the
+/// map localize_2d_sweep built from the same set and config. Refinement runs
+/// on up to `config.threads` threads, serially when called from inside a
+/// parallel_for. Opens the `localize.2d` span; the sweep's own time is in
+/// `sar.heatmap`.
+Expected<LocalizationResult> localize_2d_finish(const DisentangledSet& set,
+                                                const LocalizerConfig& config,
+                                                const Heatmap& map);
 
 /// The grid the main heatmap sweep actually runs on for this config: the
 /// stride-widened coarse grid under kCoarseToFine, the coarse-resolution

@@ -34,7 +34,17 @@ struct Peak {
 /// prominence >= prominence_fraction * the peak's own value (i.e. the peak
 /// must rise well above the saddle connecting it to stronger structure),
 /// sorted by value descending. Prominence comes from a descending watershed
-/// (union-find) sweep.
+/// (union-find) sweep over the 8-connected grid.
+///
+/// The sweep activates cells in (value descending, row-major index
+/// ascending) order, building that order lazily from value buckets, and
+/// stops as soon as no reported figure can change (see DESIGN.md, "Peak
+/// extraction"). Tie rule: the lower index goes first. Two adjacent equal
+/// maxima report the lower index, a plateau reports its first cell, equal
+/// summits that meet at a saddle keep the one found first in (dy, dx)
+/// neighbour order, and equal-valued peaks are listed by ascending index.
+/// On a map without two equal values the answer is that of a full sort.
+/// A threshold_fraction above 1 returns no peaks.
 std::vector<Peak> find_peaks(const Heatmap& map, double threshold_fraction = 0.5,
                              double prominence_fraction = 0.4);
 

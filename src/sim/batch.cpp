@@ -1,6 +1,8 @@
 #include "sim/batch.h"
 
+#include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "common/thread_pool.h"
 #include "localize/localizer.h"
@@ -34,18 +36,52 @@ obs::Histogram& batch_job_seconds() {
   return h;
 }
 
-/// Phase 2: localize every deferred task in (job, item) order and fold each
-/// result back into its own mission. Each call sweeps and refines on the
-/// whole pool, so the loop itself stays on the coordinator.
+/// Phase 2: localize every deferred task and fold each result back into its
+/// own mission, in (job, item) order. Tasks go in windows of `window`: the
+/// window's tasks are swept one after another, each on the whole pool, then
+/// the window finishes in one parallel_for, one task per chunk; a finish
+/// running inside that parallel region refines serially. A task's time is
+/// its own sweep plus its own finish. The window's heatmaps are dropped
+/// before the next window sweeps.
 void run_deferred(const std::vector<std::vector<DeferredLocalize>>& tasks,
-                  std::vector<BatchResult>& results) {
+                  std::vector<BatchResult>& results, unsigned window) {
   obs::Span plane_span("batch.plane");
+  struct Slot {
+    std::size_t job;
+    const DeferredLocalize* task;
+  };
+  std::vector<Slot> slots;
   for (std::size_t job = 0; job < tasks.size(); ++job) {
-    for (const DeferredLocalize& task : tasks[job]) {
+    for (const DeferredLocalize& task : tasks[job]) slots.push_back({job, &task});
+  }
+  for (std::size_t first = 0; first < slots.size(); first += window) {
+    const std::size_t count = std::min<std::size_t>(window, slots.size() - first);
+    std::vector<Expected<localize::Heatmap>> maps;
+    std::vector<std::optional<Expected<localize::LocalizationResult>>> found(count);
+    std::vector<double> seconds(count, 0.0);
+    for (std::size_t i = 0; i < count; ++i) {
+      const DeferredLocalize& task = *slots[first + i].task;
       const auto start = Clock::now();
-      const auto result = localize::localize_2d_from(task.half_link, task.config);
-      apply_deferred_result(results[job].run, task.item_index, task.tag_index,
-                            result, seconds_since(start));
+      maps.push_back(localize::localize_2d_sweep(task.half_link, task.config));
+      seconds[i] = seconds_since(start);
+    }
+    parallel_for(
+        0, count, 1,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            const DeferredLocalize& task = *slots[first + i].task;
+            const auto start = Clock::now();
+            found[i] = maps[i] ? localize::localize_2d_finish(task.half_link, task.config,
+                                                              *maps[i])
+                               : Expected<localize::LocalizationResult>(maps[i].status());
+            seconds[i] += seconds_since(start);
+          }
+        },
+        window);
+    for (std::size_t i = 0; i < count; ++i) {
+      const Slot& slot = slots[first + i];
+      apply_deferred_result(results[slot.job].run, slot.task->item_index,
+                            slot.task->tag_index, *found[i], seconds[i]);
     }
   }
 }
@@ -136,7 +172,7 @@ std::vector<BatchResult> run_batch(const std::vector<BatchJob>& jobs,
     *info = BatchRunInfo{};
     info->deferred_tasks = deferred;
   }
-  if (deferred > 0) run_deferred(tasks, results);
+  if (deferred > 0) run_deferred(tasks, results, clamp_thread_count(config.threads));
 
   if (info) info->wall_seconds = seconds_since(batch_start);
   return results;

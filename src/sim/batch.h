@@ -12,8 +12,12 @@
 //
 //   kBatched (default) — additionally, fault-free jobs defer their localize
 //     stages; once every mission has run, the runner localizes the deferred
-//     tags one at a time in (job, item) order, each SAR sweep and refinement
-//     on the whole pool. Nothing a run builds outlives it. Behaviorally
+//     tags in (job, item) order, in windows of `threads` tags: it sweeps
+//     each tag of a window on the whole pool, one after another, then
+//     finishes the whole window (peak extraction, refinement, selection) in
+//     one parallel_for, one tag per thread. A window holds at most
+//     `threads` heatmaps, threads x kMaxScanCells x 8 bytes, and drops them
+//     before the next. Nothing a run builds outlives it. Behaviorally
 //     invisible: every BatchResult is bit-identical to the per-mission mode
 //     at any thread count (pinned by tests/test_batch_parity.cpp).
 #pragma once
@@ -44,7 +48,7 @@ struct BatchResult {
 
 enum class BatchMode : std::uint8_t {
   kPerMission,  // independent pipelines, no cross-mission sharing
-  kBatched,     // deferred localize, each tag swept on the whole pool
+  kBatched,     // deferred localize: tags swept on the whole pool, finished in windows
 };
 
 /// Stable lower-case token ("per-mission" / "batched"), used by --batch.
@@ -52,7 +56,8 @@ const char* batch_mode_name(BatchMode mode);
 bool parse_batch_mode(const std::string& text, BatchMode& out);
 
 struct BatchConfig {
-  /// Jobs in flight at once: 0 = hardware concurrency, 1 = serial.
+  /// Jobs in flight at once: 0 = hardware concurrency, 1 = serial. Also the
+  /// number of deferred tags batched mode finishes at once.
   /// (First member — callers aggregate-initialize as BatchConfig{threads}.)
   unsigned threads = 0;
   BatchMode mode = BatchMode::kBatched;

@@ -96,9 +96,10 @@ struct InventoryOverride {
 /// `deferred`: when non-null AND faults are disabled, per-tag localize
 /// stages are not executed — each is appended to `deferred` and the item is
 /// left pending (not localized, status OK). The caller must run
-/// localize_2d_from(task.half_link, task.config) on every task and fold the
-/// outcome back with apply_deferred_result to obtain the same MissionRun the
-/// inline path produces. With faults
+/// localize_2d_from(task.half_link, task.config), or its sweep and finish
+/// halves, on every task and fold the outcome back with
+/// apply_deferred_result to obtain the same MissionRun the inline path
+/// produces. With faults
 /// enabled the parameter is ignored: the retry loop needs each localize
 /// outcome immediately.
 Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,

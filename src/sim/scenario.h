@@ -129,6 +129,9 @@ inline constexpr std::size_t kMaxTagWaypoints = std::size_t{1} << 28;
 /// Cells of one tag's scan grid (localize_scan_grid of its window).
 inline constexpr std::size_t kMaxScanCells = std::size_t{1} << 22;
 /// Tags x scan cells: the SAR sweep work of one mission's localizations.
+/// It bounds work, not memory: a tag's heatmap lives only through its own
+/// localization, and batch phase 2 holds one window of them at a time, at
+/// most threads x kMaxScanCells x 8 bytes (sim/batch.h).
 inline constexpr std::size_t kMaxMissionScanCells = std::size_t{1} << 26;
 /// Cells one tag's peak refinement evaluates (localize_refine_cells).
 inline constexpr std::size_t kMaxRefineCells = std::size_t{1} << 18;

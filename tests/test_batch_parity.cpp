@@ -2,11 +2,13 @@
 // invisible" contract. Batched vs per-mission runs across thread counts,
 // kernels, searches, faults on/off and a repeated job are bit-identical,
 // with equal error contexts; a mission whose tags all defer localizes each
-// of them in phase 2; and no state survives a call (A, then an unrelated B,
-// then A again reproduces A exactly).
+// of them in phase 2, whose last window of finishes may be short; and no
+// state survives a call (A, then an unrelated B, then A again reproduces A
+// exactly).
 //
 // Runs under the `batch` label: include it in the TSAN tree (phase 1 jobs
-// on the pool, phase 2 sweeps on the pool) and the ASan+UBSan tree.
+// on the pool, phase 2 sweeps and windows of finishes on the pool) and the
+// ASan+UBSan tree.
 #include <gtest/gtest.h>
 
 #include <ostream>
@@ -139,18 +141,20 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BatchParity, ThroughWallDefersEveryTag) {
   // through_wall flies one pass over three tags and every tag is read, so
-  // each mission defers all three localize stages: two seeds make six
+  // each mission defers all three localize stages: five seeds make 15
   // tasks, and localizing them in phase 2 reproduces per-mission runs.
+  // Phase 2 finishes them in windows of the batch's thread count; 15 tasks
+  // leave a short last window at 2 threads (7 x 2 + 1) and, on a 4-core
+  // host, at 4.
   const auto loaded = preset("through_wall");
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-  for (unsigned threads : {1u, 8u}) {
+  const auto reference = run_seed_sweep(*loaded, 7, 5, {1, BatchMode::kPerMission});
+  for (unsigned threads : {1u, 2u, 4u, 8u}) {
     BatchRunInfo info;
     const auto batched =
-        run_seed_sweep(*loaded, 7, 2, {threads, BatchMode::kBatched}, &info);
-    const auto reference =
-        run_seed_sweep(*loaded, 7, 2, {threads, BatchMode::kPerMission});
+        run_seed_sweep(*loaded, 7, 5, {threads, BatchMode::kBatched}, &info);
     expect_results_identical(batched, reference);
-    EXPECT_EQ(info.deferred_tasks, 6u) << threads;
+    EXPECT_EQ(info.deferred_tasks, 15u) << threads;
   }
 }
 

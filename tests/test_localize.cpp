@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "channel/path_loss.h"
 #include "common/rng.h"
@@ -266,6 +267,116 @@ TEST(Localizer, MultiresMatchesFullScan) {
 
 TEST(Localizer, NoMeasurementsReturnsNullopt) {
   EXPECT_FALSE(localize_2d_checked({}, LocalizerConfig{}).ok());
+}
+
+TEST(Localizer, RefineCandidatesBelowOneRefineTheStrongestPeak) {
+  // Under multires the finish keeps max(refine_candidates, 1) peaks, as the
+  // coarse-to-fine finish and localize_refine_cells do. 0 used to report
+  // (0, 0) with no candidates, and -1 threw std::length_error.
+  const auto traj = drone::linear_trajectory({4, 2, 1}, {6, 2, 1}, 30);
+  const auto set = synthesize(traj, {5.1, 0.4, 0}, {0, 0, 1});
+  for (SarSearch search : {SarSearch::kExact, SarSearch::kIncremental}) {
+    LocalizerConfig cfg;
+    cfg.freq_hz = kF2;
+    cfg.grid = {4, 6, -0.5, 1.5, 0.01};
+    cfg.search = search;
+    cfg.refine_candidates = 1;
+    const auto one = localize_2d_checked(set, cfg);
+    ASSERT_TRUE(one.ok()) << one.status().to_string();
+    ASSERT_EQ(one->candidates.size(), 1u);
+    EXPECT_NEAR(one->x, 5.1, 0.03);
+    for (int n : {0, -1}) {
+      cfg.refine_candidates = n;
+      const auto got = localize_2d_checked(set, cfg);
+      ASSERT_TRUE(got.ok()) << n << ": " << got.status().to_string();
+      EXPECT_EQ(got->x, one->x) << n;
+      EXPECT_EQ(got->y, one->y) << n;
+      EXPECT_EQ(got->peak_value, one->peak_value) << n;
+      ASSERT_EQ(got->candidates.size(), 1u) << n;
+      EXPECT_EQ(got->candidates[0].prominence, one->candidates[0].prominence) << n;
+    }
+  }
+}
+
+void expect_same_result(const Expected<LocalizationResult>& got,
+                        const Expected<LocalizationResult>& want,
+                        const std::string& label) {
+  ASSERT_EQ(got.ok(), want.ok()) << label;
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().to_string(), want.status().to_string()) << label;
+    return;
+  }
+  EXPECT_EQ(got->x, want->x) << label;
+  EXPECT_EQ(got->y, want->y) << label;
+  EXPECT_EQ(got->peak_value, want->peak_value) << label;
+  EXPECT_EQ(got->measurements_used, want->measurements_used) << label;
+  ASSERT_EQ(got->candidates.size(), want->candidates.size()) << label;
+  for (std::size_t i = 0; i < want->candidates.size(); ++i) {
+    const Peak& a = got->candidates[i];
+    const Peak& b = want->candidates[i];
+    EXPECT_EQ(a.x, b.x) << label << " candidate " << i;
+    EXPECT_EQ(a.y, b.y) << label << " candidate " << i;
+    EXPECT_EQ(a.value, b.value) << label << " candidate " << i;
+    EXPECT_EQ(a.prominence, b.prominence) << label << " candidate " << i;
+    EXPECT_EQ(a.distance_to_trajectory, b.distance_to_trajectory)
+        << label << " candidate " << i;
+  }
+}
+
+/// The multipath scene's set: a tag plus a stronger ghost, so the finish
+/// has several candidates to refine and choose from.
+DisentangledSet ghost_scene() {
+  const auto traj = drone::linear_trajectory({4, 2.0, 1}, {6, 2.4, 1}, 40);
+  return disentangle(synthesize(traj, {5.0, 0.5, 0}, {0, 0, 1}, 0.8, {6.5, 4.5, 0}));
+}
+
+TEST(LocalizerSplit, SweepThenFinishEqualsLocalize2dFrom) {
+  const DisentangledSet set = ghost_scene();
+  for (SarKernel kernel : {SarKernel::kExact, SarKernel::kFast}) {
+    for (SarSearch search :
+         {SarSearch::kExact, SarSearch::kIncremental, SarSearch::kCoarseToFine}) {
+      for (bool multires : {false, true}) {
+        const std::string label = std::string(sar_kernel_name(kernel)) + " " +
+                                  sar_search_name(search) +
+                                  (multires ? " multires" : " single");
+        LocalizerConfig cfg;
+        cfg.freq_hz = kF2;
+        cfg.grid = {3, 8, -1, 7, 0.02};
+        cfg.peak_threshold_fraction = 0.35;
+        cfg.kernel = kernel;
+        cfg.search = search;
+        cfg.multires = multires;
+        const auto whole = localize_2d_from(set, cfg);
+        ASSERT_TRUE(whole.ok()) << label << ": " << whole.status().to_string();
+        EXPECT_GT(whole->candidates.size(), 1u) << label;
+        const auto map = localize_2d_sweep(set, cfg);
+        ASSERT_TRUE(map.ok()) << label;
+        EXPECT_EQ(map->values.size(),
+                  localize_scan_grid(cfg).nx() * localize_scan_grid(cfg).ny())
+            << label;
+        expect_same_result(localize_2d_finish(set, cfg, *map), whole, label);
+      }
+    }
+  }
+}
+
+TEST(LocalizerSplit, HalvesReportTheSameErrors) {
+  LocalizerConfig cfg;
+  cfg.freq_hz = kF2;
+  cfg.grid = {3, 8, -1, 7, 0.05};
+  const auto empty_sweep = localize_2d_sweep({}, cfg);
+  ASSERT_FALSE(empty_sweep.ok());
+  EXPECT_EQ(empty_sweep.status().code(), StatusCode::kNoReference);
+  EXPECT_EQ(localize_2d_from({}, cfg).status().to_string(),
+            empty_sweep.status().to_string());
+
+  cfg.grid = {8, 3, -1, 7, 0.05};  // x range inverted
+  const DisentangledSet set = ghost_scene();
+  const auto inverted_sweep = localize_2d_sweep(set, cfg);
+  ASSERT_FALSE(inverted_sweep.ok());
+  EXPECT_EQ(inverted_sweep.status().code(), StatusCode::kDegenerateGrid);
+  EXPECT_EQ(localize_2d_from(set, cfg).status().to_string(),
+            inverted_sweep.status().to_string());
 }
 
 TEST(Localizer, NoisyChannelsStillLocalize) {
