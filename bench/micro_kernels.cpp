@@ -182,6 +182,27 @@ void BM_ForwardSynthesis(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardSynthesis)->Arg(1)->Arg(16)->Arg(256)->ArgName("tags");
 
+// The exact measure stage of one `warehouse` mission: the flight's plane
+// build plus one collect per tag (9 tags over 420 waypoints), as the
+// pipeline runs them. Each iteration replays the same draws.
+void BM_ExactCollect(benchmark::State& state) {
+  const sim::MissionInputs in = sim::materialize(*sim::preset("warehouse"));
+  const core::RflySystem system(in.config.system, in.environment, in.reader_position);
+  Rng fly_rng(1);
+  const auto flight = drone::fly(in.plan, in.config.flight, in.config.tracking, fly_rng);
+  for (auto _ : state) {
+    const auto plane = core::ForwardPlane::build(system, flight);
+    Rng rng(2);
+    for (const auto& tag : in.tags) {
+      benchmark::DoNotOptimize(
+          system.try_collect_measurements(flight, tag.position, rng, plane));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(in.tags.size() * flight.size()));
+}
+BENCHMARK(BM_ExactCollect)->Unit(benchmark::kMillisecond);
+
 // localize_3d per search strategy (0 exact, 1 incremental, 2 coarse2fine)
 // on a two-altitude aperture, fast kernel, 1 thread: the algorithmic
 // speedup over the brute-force volume scan, with no thread help.

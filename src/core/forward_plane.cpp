@@ -13,10 +13,9 @@ namespace rfly::core {
 
 namespace {
 
-// Plane telemetry. `channel_evals` is the headline counter the acceptance
-// bench asserts on: per-waypoint channel evaluations charged to the measure
-// stage — one per waypoint per plane build, instead of the seed loop's ~5
-// per waypoint per tag.
+// Plane telemetry. `channel_evals` counts the reader↔relay channel
+// evaluations charged to the measure stage: one per waypoint per plane
+// build, instead of the seed loop's ~5 per waypoint per tag.
 obs::Counter& plane_builds() {
   static obs::Counter& c = obs::counter("measure.plane.builds");
   return c;
@@ -30,7 +29,6 @@ obs::Counter& plane_channel_evals() {
 
 ForwardPlane ForwardPlane::build(const RflySystem& system,
                                  const std::vector<drone::FlownPoint>& flight) {
-  const SystemConfig& cfg = system.config();
   const std::size_t n = flight.size();
   ForwardPlane plane;
   plane.px.resize(n);
@@ -41,31 +39,21 @@ ForwardPlane ForwardPlane::build(const RflySystem& system,
   plane.relay_tx_dbm.resize(n);
   plane.g_d_amp.resize(n);
   plane.embedded.resize(n);
-  plane.h1_re.resize(n);
-  plane.h1_im.resize(n);
-  plane.h1_pow.resize(n);
-  plane.relay_tx_mw.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const Vec3& a = flight[i].actual;
     plane.px[i] = a.x;
     plane.py[i] = a.y;
     plane.pz[i] = a.z;
-    // Exact hoists: the same public methods the seed collect loop drives,
-    // called once per waypoint — stored bits are exactly what the seed
-    // loop would have recomputed at this point.
+    // Exact hoists: one reader→relay channel per waypoint, fed to the
+    // h1-taking bodies of the public methods the seed collect loop drives
+    // — stored bits are exactly what the seed loop would have recomputed
+    // at this point.
     const cdouble h1 = system.reader_relay_channel(a);
     plane.h1[i] = h1;
     plane.h1_abs_db[i] = amplitude_to_db(std::abs(h1));
-    const double relay_rx_dbm = cfg.reader_eirp_dbm + plane.h1_abs_db[i];
-    plane.relay_tx_dbm[i] = RflySystem::saturated_output_dbm(
-        relay_rx_dbm, cfg.relay_downlink_gain_db, cfg.relay_downlink_p1db_dbm);
-    plane.g_d_amp[i] = db_to_amplitude(system.effective_downlink_gain_db(a));
-    plane.embedded[i] = system.measured_embedded_channel(a);
-    // Fast-path linear mirrors.
-    plane.h1_re[i] = h1.real();
-    plane.h1_im[i] = h1.imag();
-    plane.h1_pow[i] = h1.real() * h1.real() + h1.imag() * h1.imag();
-    plane.relay_tx_mw[i] = std::pow(10.0, plane.relay_tx_dbm[i] / 10.0);
+    plane.relay_tx_dbm[i] = system.relay_tx_dbm(h1);
+    plane.g_d_amp[i] = db_to_amplitude(system.downlink_gain_db(h1));
+    plane.embedded[i] = system.embedded_channel(h1);
   }
   plane_builds().inc();
   plane_channel_evals().add(n);
@@ -165,6 +153,17 @@ std::vector<SynthChannels> synthesize_forward_channels(
     }
   }
 
+  // The kernels' linear-domain mirrors of the plane's h1 and capped
+  // downlink drive.
+  std::vector<double> h1_re(n), h1_im(n), h1_pow(n), relay_tx_mw(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const cdouble h1 = plane.h1[i];
+    h1_re[i] = h1.real();
+    h1_im[i] = h1.imag();
+    h1_pow[i] = h1.real() * h1.real() + h1.imag() * h1.imag();
+    relay_tx_mw[i] = std::pow(10.0, plane.relay_tx_dbm[i] / 10.0);
+  }
+
   // Multi-tag synthesize pass: linear-domain constants folded once.
   std::vector<const double*> h2re_ptrs(ntags), h2im_ptrs(ntags);
   std::vector<double*> ore_ptrs(ntags), oim_ptrs(ntags);
@@ -176,10 +175,10 @@ std::vector<SynthChannels> synthesize_forward_channels(
     oim_ptrs[t] = out[t].target_im.data();
     mask_ptrs[t] = out[t].readable.data();
   }
-  args.h1_re = plane.h1_re.data();
-  args.h1_im = plane.h1_im.data();
-  args.h1_pow = plane.h1_pow.data();
-  args.relay_tx_mw = plane.relay_tx_mw.data();
+  args.h1_re = h1_re.data();
+  args.h1_im = h1_im.data();
+  args.h1_pow = h1_pow.data();
+  args.relay_tx_mw = relay_tx_mw.data();
   args.g_d_amp = plane.g_d_amp.data();
   args.h2_re_tags = h2re_ptrs.data();
   args.h2_im_tags = h2im_ptrs.data();

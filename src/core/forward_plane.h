@@ -13,8 +13,8 @@
 //     seed (the plane stores results of the same public methods, called
 //     once); pinned against that loop, kept as the oracle in
 //     tests/test_measure_plane.cpp.
-//   - fast mode additionally feeds the plane's linear-domain mirrors to the
-//     forward kernels (forward_kernel.h), which synthesize readability
+//   - fast mode additionally feeds linear-domain mirrors of the plane to
+//     the forward kernels (forward_kernel.h), which synthesize readability
 //     masks and target channels for a block of waypoints × tags in one
 //     pass.
 //
@@ -45,27 +45,23 @@ struct ForwardPlane {
   // record, straight from the flight).
   std::vector<double> px, py, pz;
 
-  // Exact-path hoists: results of the public per-point methods, one call per
-  // waypoint, stored bit-for-bit.
+  // Exact-path hoists: results of the public per-point methods, one
+  // reader↔relay channel evaluation per waypoint, stored bit-for-bit.
   std::vector<cdouble> h1;           // reader_relay_channel(actual)
   std::vector<double> h1_abs_db;     // amplitude_to_db(|h1|)
   std::vector<double> relay_tx_dbm;  // capped downlink drive (P1dB stage)
   std::vector<double> g_d_amp;       // db_to_amplitude(effective_downlink_gain_db)
   std::vector<cdouble> embedded;     // measured_embedded_channel(actual)
 
-  // Fast-path linear mirrors for the forward kernels.
-  std::vector<double> h1_re, h1_im;  // h1 split re/im
-  std::vector<double> h1_pow;        // |h1|²
-  std::vector<double> relay_tx_mw;   // 10^(relay_tx_dbm/10)
-
   std::size_t size() const { return px.size(); }
 
-  /// Hoist the flight once: calls the same public RflySystem methods the
-  /// seed collect loop calls, one evaluation per waypoint, so every
-  /// stored value is bit-identical to what the seed loop would have
-  /// recomputed. Bumps the `measure.plane.channel_evals` obs counter by
-  /// the flight size — the per-waypoint channel evaluations this build
-  /// performs, charged once per flight instead of once per (point, tag).
+  /// Hoist the flight once: evaluates the reader↔relay channel h1 once per
+  /// waypoint and feeds it to the h1-taking bodies the public RflySystem
+  /// methods share, so every stored value is bit-identical to what the
+  /// seed loop would have recomputed. Bumps the
+  /// `measure.plane.channel_evals` obs counter by the flight size — the
+  /// per-waypoint channel evaluations this build performs, charged once
+  /// per flight instead of once per (point, tag).
   static ForwardPlane build(const RflySystem& system,
                             const std::vector<drone::FlownPoint>& flight);
 };

@@ -2,15 +2,38 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "channel/link_budget.h"
 #include "channel/path_loss.h"
 #include "common/constants.h"
 #include "common/units.h"
 #include "core/forward_plane.h"
+#include "obs/metrics.h"
 #include "signal/noise.h"
 
 namespace rfly::core {
+
+namespace {
+
+// Exact-collect telemetry: relay→tag channel evaluations, and the
+// tag-waypoints the magnitude bound proved unpowered without one. Their
+// sum is flight size × collect calls.
+obs::Counter& h2_evals() {
+  static obs::Counter& c = obs::counter("measure.h2_evals");
+  return c;
+}
+obs::Counter& h2_skipped() {
+  static obs::Counter& c = obs::counter("measure.h2_skipped");
+  return c;
+}
+
+/// Slack on the bound's dB figure before it may skip a point: 1.15e-7
+/// relative, far above the few ulps by which the bound's factored
+/// arithmetic can round below the exact channel's.
+constexpr double kBoundMarginDb = 1e-6;
+
+}  // namespace
 
 RflySystem::RflySystem(const SystemConfig& config, channel::Environment environment,
                        const Vec3& reader_position)
@@ -30,20 +53,34 @@ cdouble RflySystem::reader_relay_channel(const Vec3& relay_pos) const {
                                          config_.carrier_hz, gains);
 }
 
-cdouble RflySystem::relay_tag_channel(const Vec3& relay_pos, const Vec3& tag_pos) const {
+channel::LinkGains RflySystem::relay_tag_gains() const {
   channel::LinkGains gains;
   gains.tx_gain_dbi = config_.relay_antenna_gain_dbi;
   gains.rx_gain_dbi = config_.tag.antenna_gain_dbi;
+  return gains;
+}
+
+cdouble RflySystem::relay_tag_channel(const Vec3& relay_pos, const Vec3& tag_pos) const {
   return channel::point_to_point_channel(environment_, relay_pos, tag_pos,
                                          config_.carrier_hz + config_.freq_shift_hz,
-                                         gains);
+                                         relay_tag_gains());
+}
+
+double RflySystem::relay_tx_dbm(const cdouble& h1) const {
+  const double relay_rx_dbm =
+      config_.reader_eirp_dbm + amplitude_to_db(std::abs(h1));
+  return saturated_output_dbm(relay_rx_dbm, config_.relay_downlink_gain_db,
+                              config_.relay_downlink_p1db_dbm);
+}
+
+double RflySystem::downlink_gain_db(const cdouble& h1) const {
+  const double rx_dbm = config_.reader_eirp_dbm + amplitude_to_db(std::abs(h1));
+  return saturated_gain_db(rx_dbm, config_.relay_downlink_gain_db,
+                           config_.relay_downlink_p1db_dbm);
 }
 
 double RflySystem::effective_downlink_gain_db(const Vec3& relay_pos) const {
-  const double rx_dbm = config_.reader_eirp_dbm +
-                        amplitude_to_db(std::abs(reader_relay_channel(relay_pos)));
-  return saturated_gain_db(rx_dbm, config_.relay_downlink_gain_db,
-                           config_.relay_downlink_p1db_dbm);
+  return downlink_gain_db(reader_relay_channel(relay_pos));
 }
 
 double RflySystem::effective_uplink_gain_db(const Vec3& relay_pos,
@@ -59,13 +96,7 @@ double RflySystem::effective_uplink_gain_db(const Vec3& relay_pos,
 
 double RflySystem::tag_incident_power_dbm(const Vec3& relay_pos,
                                           const Vec3& tag_pos) const {
-  const double relay_rx_dbm =
-      config_.reader_eirp_dbm +
-      amplitude_to_db(std::abs(reader_relay_channel(relay_pos)));
-  const double relay_tx_dbm =
-      saturated_output_dbm(relay_rx_dbm, config_.relay_downlink_gain_db,
-                           config_.relay_downlink_p1db_dbm);
-  return relay_tx_dbm +
+  return relay_tx_dbm(reader_relay_channel(relay_pos)) +
          amplitude_to_db(std::abs(relay_tag_channel(relay_pos, tag_pos)));
 }
 
@@ -132,7 +163,7 @@ cdouble RflySystem::measured_target_channel(const Vec3& relay_pos,
                                             const Vec3& tag_pos) const {
   const cdouble h1 = reader_relay_channel(relay_pos);
   const cdouble h2 = relay_tag_channel(relay_pos, tag_pos);
-  const double g_d = db_to_amplitude(effective_downlink_gain_db(relay_pos));
+  const double g_d = db_to_amplitude(downlink_gain_db(h1));
   const double g_u = db_to_amplitude(effective_uplink_gain_db(relay_pos, tag_pos));
   const cdouble hw = cis(config_.relay_hardware_phase_rad);
 
@@ -150,23 +181,21 @@ cdouble RflySystem::measured_target_channel(const Vec3& relay_pos,
 }
 
 cdouble RflySystem::measured_embedded_channel(const Vec3& relay_pos) const {
-  const cdouble h1 = reader_relay_channel(relay_pos);
+  return embedded_channel(reader_relay_channel(relay_pos));
+}
+
+cdouble RflySystem::embedded_channel(const cdouble& h1) const {
   // Uplink gain for the embedded tag: driven hard (close coupling), so the
   // uplink output cap applies via the same path with the wire coupling.
   const double wire = db_to_amplitude(config_.embedded_coupling_db);
-  const double relay_rx_dbm =
-      config_.reader_eirp_dbm + amplitude_to_db(std::abs(h1));
-  const double relay_tx_dbm =
-      saturated_output_dbm(relay_rx_dbm, config_.relay_downlink_gain_db,
-                           config_.relay_downlink_p1db_dbm);
-  const double backscatter_dbm = relay_tx_dbm +
+  const double backscatter_dbm = relay_tx_dbm(h1) +
                                  2.0 * config_.embedded_coupling_db +
                                  amplitude_to_db(backscatter_delta_rho());
   const double g_u_db =
       saturated_gain_db(backscatter_dbm, config_.relay_uplink_gain_db,
                         config_.relay_uplink_max_out_dbm);
   const cdouble hw = cis(config_.relay_hardware_phase_rad);
-  return h1 * h1 * db_to_amplitude(effective_downlink_gain_db(relay_pos)) *
+  return h1 * h1 * db_to_amplitude(downlink_gain_db(h1)) *
          db_to_amplitude(g_u_db + config_.reader_rx_gain_dbi) *
          backscatter_delta_rho() * wire * wire * hw;
 }
@@ -210,7 +239,8 @@ Expected<localize::MeasurementSet> RflySystem::try_collect_measurements(
 // tests/test_measure_plane.cpp's oracle composes them) with per-waypoint
 // operands read from the plane, which stored the same functions' results
 // evaluated once per flight, and per-tag operands hoisted out of the loop.
-// No value is computed differently — only fewer times.
+// No value is computed differently — only fewer times, and not at all at
+// points the relay→tag bound proves unpowered (which draw nothing either).
 Expected<localize::MeasurementSet> RflySystem::try_collect_measurements(
     const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
     Rng& rng, const ForwardPlane& plane) const {
@@ -236,8 +266,20 @@ Expected<localize::MeasurementSet> RflySystem::try_collect_measurements(
         environment_, reader_position_, tag_pos, config_.carrier_hz, gains);
     direct_term = hd * hd * drho;
   }
+  const channel::ChannelBound h2_bound(
+      environment_, config_.carrier_hz + config_.freq_shift_hz, relay_tag_gains());
+  std::uint64_t evals = 0;
   for (std::size_t i = 0; i < flight.size(); ++i) {
     const auto& point = flight[i];
+    // Power gate on the bound first: a point even the bound leaves short
+    // of the tag's sensitivity fails the exact gate below. A NaN bound
+    // compares false and falls through to the exact evaluation.
+    if (plane.relay_tx_dbm[i] + amplitude_to_db(h2_bound(point.actual, tag_pos)) +
+            kBoundMarginDb <
+        config_.tag.sensitivity_dbm) {
+      continue;
+    }
+    ++evals;
     // The only remaining per-(point, tag) channel evaluation.
     const cdouble h2 = relay_tag_channel(point.actual, tag_pos);
     const double h2_abs_db = amplitude_to_db(std::abs(h2));
@@ -269,6 +311,8 @@ Expected<localize::MeasurementSet> RflySystem::try_collect_measurements(
     add_ripple_and_noise(m, sigma, rng);
     set.push_back(m);
   }
+  h2_evals().add(evals);
+  h2_skipped().add(flight.size() - evals);
   if (set.empty()) {
     return Status{StatusCode::kInsufficientData,
                   "tag unpowered or undecodable at all " +

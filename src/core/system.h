@@ -171,10 +171,16 @@ class RflySystem {
   /// Plane-backed exact collect: every per-waypoint quantity (reader↔relay
   /// channel, capped downlink drive, downlink gain, embedded channel) is
   /// read from a ForwardPlane built once per flight instead of being
-  /// re-derived ~5× per point per tag. Bit-identical to the seed's
-  /// per-point loop — the plane stores values produced by the same
-  /// expressions, evaluated once (pinned against that loop, kept in
+  /// re-derived ~5× per point per tag. Before evaluating the relay→tag
+  /// channel at a point, the loop checks a cheap upper bound on its
+  /// magnitude (channel::ChannelBound) and skips the point when even the
+  /// bound cannot power the tag; such a point fails the exact power gate
+  /// and draws nothing, so skipping it changes no bit. Bit-identical to
+  /// the seed's per-point loop — the plane stores values produced by the
+  /// same expressions, evaluated once (pinned against that loop, kept in
   /// tests/test_measure_plane.cpp, and by committed mission digests).
+  /// Adds the points it evaluated and skipped to the `measure.h2_evals`
+  /// and `measure.h2_skipped` obs counters.
   Expected<localize::MeasurementSet> try_collect_measurements(
       const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
       Rng& rng, const ForwardPlane& plane) const;
@@ -192,7 +198,21 @@ class RflySystem {
   double rssi_reference_magnitude_at_1m() const;
 
  private:
+  friend struct ForwardPlane;
+
   double backscatter_delta_rho() const;
+  channel::LinkGains relay_tag_gains() const;
+
+  /// Shared bodies of the public per-position methods, taking the
+  /// reader→relay channel h1 = reader_relay_channel(relay_pos), so a caller
+  /// holding h1 (ForwardPlane::build) evaluates it once per waypoint. Each
+  /// expression tree exists only here.
+  /// Capped downlink drive: the relay's transmit power toward the tag.
+  double relay_tx_dbm(const cdouble& h1) const;
+  /// effective_downlink_gain_db.
+  double downlink_gain_db(const cdouble& h1) const;
+  /// measured_embedded_channel.
+  cdouble embedded_channel(const cdouble& h1) const;
 
   /// The collect loops' stochastic tail, the one implementation of the RNG
   /// contract above: ripple on the target channel, then estimate noise of

@@ -20,17 +20,25 @@
 //     x {batched, per-mission} x {faults on/off}.
 //   - The plane's cost contract: each build charges one channel eval per
 //     waypoint, and every single-relay mission builds exactly one plane.
+//   - The collect loop's skip: the relay→tag magnitude bound it checks
+//     before each exact evaluation is an upper bound on seeded random
+//     geometry (walls, shelves, degenerate points), the collect stays
+//     bit-identical to the seed loop over random environments, flights and
+//     link budgets, and the `measure.h2_*` counters tally every
+//     tag-waypoint of a warehouse mission.
 //
 // Run it in the TSAN tree (concurrent missions under the batch runner) and
 // the ASan+UBSan tree (kernel pointer arithmetic, SoA tails, per-tag
 // tables).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "channel/channel_model.h"
 #include "channel/environment.h"
 #include "common/math_util.h"
 #include "common/rng.h"
@@ -496,6 +504,171 @@ TEST(FastPlaneMission, TracksExactReportClosely) {
     EXPECT_NEAR(ra.items[i].estimate.x, rb.items[i].estimate.x, 0.2) << "item " << i;
     EXPECT_NEAR(ra.items[i].estimate.y, rb.items[i].estimate.y, 0.2) << "item " << i;
   }
+}
+
+// --- The collect loop's skip: bound, oracle, counters -----------------------
+
+/// 0–8 obstacles of every material at random, finite (shelf-like) or
+/// unbounded (wall-like) heights, in and around a 10 m × 8 m room.
+channel::Environment random_environment(Rng& rng) {
+  const channel::Material materials[] = {channel::drywall(), channel::concrete(),
+                                         channel::steel_shelf(), channel::glass()};
+  channel::Environment env;
+  const auto n = rng.uniform_int(0, 8);
+  for (std::int64_t k = 0; k < n; ++k) {
+    channel::Obstacle o;
+    o.footprint = {{rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 9.0)},
+                   {rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 9.0)}};
+    o.material = materials[rng.uniform_int(0, 3)];
+    if (rng.chance(0.5)) o.height_m = rng.uniform(0.3, 3.0);
+    env.add_obstacle(o);
+  }
+  return env;
+}
+
+/// A point in the room, or one of the degenerate placements the geometry
+/// must survive: on an obstacle's line (inside or past its footprint), on
+/// a footprint endpoint, at `other`'s xy, or outside the room.
+Vec3 random_point(Rng& rng, const channel::Environment& env, const Vec3& other,
+                  double z_lo, double z_hi) {
+  const double z = rng.uniform(z_lo, z_hi);
+  const auto& obstacles = env.obstacles();
+  switch (rng.uniform_int(0, 5)) {
+    case 0:
+    case 1:
+      if (!obstacles.empty()) {
+        const auto& f =
+            obstacles[static_cast<std::size_t>(
+                          rng.uniform_int(0, static_cast<std::int64_t>(obstacles.size()) - 1))]
+                .footprint;
+        if (rng.chance(0.3)) return {f.a.x, f.a.y, z};
+        const double t = rng.uniform(-0.5, 1.5);
+        return {f.a.x + t * (f.b.x - f.a.x), f.a.y + t * (f.b.y - f.a.y), z};
+      }
+      break;
+    case 2:
+      return {other.x, other.y, z};
+    case 3:
+      return {rng.uniform(-10.0, 20.0), rng.uniform(-10.0, 18.0), z};
+    default:
+      break;
+  }
+  return {rng.uniform(0.0, 10.0), rng.uniform(0.0, 8.0), z};
+}
+
+TEST(H2Bound, BoundsTheExactChannelOnRandomGeometry) {
+  Rng rng(2024);
+  std::size_t pairs = 0, blocked = 0, bounced = 0;
+  double tightest = 0.0;  // max |h| / U seen
+  for (int env_case = 0; env_case < 400; ++env_case) {
+    const auto env = random_environment(rng);
+    const double f_hz = rng.uniform(902e6, 928e6);
+    channel::LinkGains gains;
+    gains.tx_gain_dbi = rng.uniform(-3.0, 8.0);
+    gains.rx_gain_dbi = rng.uniform(-3.0, 8.0);
+    const channel::ChannelBound bound(env, f_hz, gains);
+    for (int p = 0; p < 25; ++p) {
+      const Vec3 a = random_point(rng, env, {5.0, 4.0, 1.0}, 0.0, 3.0);
+      const Vec3 b = random_point(rng, env, a, 0.0, 2.0);
+      const double h = std::abs(channel::point_to_point_channel(env, a, b, f_hz, gains));
+      const double u = bound(a, b);
+      ++pairs;
+      if (env.obstruction_loss_db(a, b) > 0.0) ++blocked;
+      if (env.paths_between(a, b).size() > 1) ++bounced;
+      tightest = std::max(tightest, h / u);
+      // Rounding may put U a few ulps under |h|; the collect loop's skip
+      // margin is 1e-6 dB (1.15e-7 relative), far wider than this check.
+      ASSERT_LE(h, u * (1.0 + 1e-12))
+          << "env " << env_case << " pair " << p << ": a=(" << a.x << ", " << a.y
+          << ", " << a.z << ") b=(" << b.x << ", " << b.y << ", " << b.z << ")";
+    }
+  }
+  // The cases that make the bound matter all occurred.
+  EXPECT_GT(blocked, pairs / 10);
+  EXPECT_GT(bounced, pairs / 10);
+  EXPECT_GT(tightest, 0.5);
+}
+
+TEST(H2Bound, CollectSkipIsBitIdenticalToSeedLoop) {
+  auto& evals = obs::counter("measure.h2_evals");
+  auto& skipped = obs::counter("measure.h2_skipped");
+  const std::uint64_t evals_before = evals.value();
+  const std::uint64_t skipped_before = skipped.value();
+  Rng rng(77);
+  std::size_t points = 0, kept = 0, ok_sets = 0;
+  for (int c = 0; c < 60; ++c) {
+    auto env = random_environment(rng);
+    core::SystemConfig config;
+    config.tag.sensitivity_dbm = rng.uniform(-30.0, -5.0);
+    config.tag.antenna_gain_dbi = rng.uniform(-2.0, 6.0);
+    config.relay_downlink_gain_db = rng.uniform(35.0, 75.0);
+    config.relay_antenna_gain_dbi = rng.uniform(-2.0, 6.0);
+    config.relay_downlink_p1db_dbm = rng.uniform(15.0, 32.0);
+    const Vec3 reader = random_point(rng, env, {0.5, 0.5, 1.0}, 0.5, 2.5);
+    const core::RflySystem system(config, env, reader);
+    const Vec3 start = random_point(rng, env, reader, 0.5, 3.0);
+    const Vec3 end = random_point(rng, env, start, 0.5, 3.0);
+    const auto plan = drone::linear_trajectory(
+        start, end, static_cast<std::size_t>(rng.uniform_int(1, 60)));
+    const auto flight = drone::fly(plan, {}, drone::optitrack_tracking(), rng);
+    const auto plane = core::ForwardPlane::build(system, flight);
+    for (int t = 0; t < 4; ++t) {
+      const Vec3 tag = random_point(
+          rng, env, flight[static_cast<std::size_t>(rng.uniform_int(
+                        0, static_cast<std::int64_t>(flight.size()) - 1))]
+                        .actual,
+          0.0, 2.0);
+      const std::uint64_t draw_seed = rng.uniform_int(0, 1 << 30);
+      Rng seed_rng(draw_seed), prod_rng(draw_seed);
+      const auto want = seed_collect(system, flight, tag, seed_rng);
+      const auto got = system.try_collect_measurements(flight, tag, prod_rng, plane);
+      points += flight.size();
+      ASSERT_EQ(got.ok(), want.ok()) << "case " << c << " tag " << t;
+      if (want.ok()) {
+        ++ok_sets;
+        kept += want.value().size();
+        ASSERT_TRUE(localize::bitwise_equal(got.value(), want.value()))
+            << "case " << c << " tag " << t;
+      } else {
+        EXPECT_EQ(got.status().to_string(), want.status().to_string());
+      }
+      ASSERT_EQ(prod_rng.gaussian(), seed_rng.gaussian()) << "case " << c << " tag " << t;
+    }
+  }
+  // Both sides of the gate were exercised.
+  EXPECT_GT(ok_sets, 20u);
+  EXPECT_GT(kept, points / 20);
+  EXPECT_LT(kept, points / 2);
+  if (obs::kEnabled) {
+    EXPECT_EQ(evals.value() - evals_before + skipped.value() - skipped_before, points);
+    EXPECT_GT(skipped.value() - skipped_before, points / 10);
+  }
+}
+
+TEST(H2Bound, WarehouseMissionCountsEveryTagWaypoint) {
+  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  auto& evals = obs::counter("measure.h2_evals");
+  auto& skipped = obs::counter("measure.h2_skipped");
+  auto& plane_evals = obs::counter("measure.plane.channel_evals");
+  auto& builds = obs::counter("measure.plane.builds");
+  const std::uint64_t evals_before = evals.value();
+  const std::uint64_t skipped_before = skipped.value();
+  const std::uint64_t plane_evals_before = plane_evals.value();
+  const std::uint64_t builds_before = builds.value();
+
+  const auto run = sim::run_scenario(*sim::preset("warehouse"), 1);
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  // One plane per mission, one reader↔relay evaluation per waypoint: the
+  // plane's eval count is the flight size. Each discovered tag collects
+  // once over the whole flight.
+  ASSERT_EQ(builds.value() - builds_before, 1u);
+  const std::uint64_t flight_size = plane_evals.value() - plane_evals_before;
+  const std::uint64_t collects = run.value().report.discovered;
+  ASSERT_GT(collects, 0u);
+  const std::uint64_t evaluated = evals.value() - evals_before;
+  const std::uint64_t bound_skipped = skipped.value() - skipped_before;
+  EXPECT_EQ(evaluated + bound_skipped, flight_size * collects);
+  EXPECT_GT(bound_skipped, 0u);
 }
 
 }  // namespace
