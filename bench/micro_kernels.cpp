@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the system's hot kernels: the SAR
 // grid projection (localization inner loop), peak extraction, the relay's
-// per-sample chain, and the FM0 decoder. These bound how fast the full experiments can run.
+// per-sample chain, the FM0 decoder, the RNG draw and the shared Gen2
+// round. These bound how fast the full experiments can run.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 #include "channel/environment.h"
 #include "channel/path_loss.h"
 #include "core/forward_plane.h"
+#include "core/inventory.h"
 #include "core/system.h"
 #include "drone/flight.h"
 #include "drone/trajectory.h"
@@ -267,6 +269,83 @@ void BM_FindPeaks(benchmark::State& state) {
                           static_cast<std::int64_t>(map.values.size()));
 }
 BENCHMARK(BM_FindPeaks)->Arg(0)->Arg(1)->ArgName("map")->Unit(benchmark::kMicrosecond);
+
+// One uniform_int draw (a slot redraw's call) from one engine (engines:1),
+// or from 650 engines taken round-robin (engines:650, about the live tags
+// a fleet_5000 QueryAdjust redraws), so each draw meets a cold engine.
+void BM_RngDraw(benchmark::State& state) {
+  std::vector<Rng> engines;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    engines.emplace_back(stream_seed(7, static_cast<std::uint64_t>(i)));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engines[next].uniform_int(0, 1023));
+    if (++next == engines.size()) next = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RngDraw)->Arg(1)->Arg(650)->ArgName("engines");
+
+// One shared Gen2 round (run_inventory) over `tags` tags placed and
+// configured as fleet_5000 places them (Select included): the slot
+// machinery alone, conditions precomputed. Each tag's conditions are drawn
+// as the inventory differential tests draw them: 1 in 5 unpowered, 1 in 10
+// powered but never decodable, 1 in 4 marginal, the rest clean. The tag
+// machines are rebuilt outside the timed region; the counters report the
+// round's slots, collisions and reads.
+void BM_SharedInventory(benchmark::State& state) {
+  const auto n_tags = static_cast<std::uint32_t>(state.range(0));
+  sim::Scenario scenario = *sim::preset("fleet_warehouse");
+  scenario.tags.clear();
+  Rng placement(1);
+  for (std::uint32_t i = 0; i < n_tags; ++i) {
+    const double aisle_y = 5.0 + 10.0 * static_cast<double>(i % 3);
+    scenario.tags.push_back({i,
+                             {placement.uniform(8.0, 32.0),
+                              aisle_y + placement.uniform(-1.0, 1.0), 0.0},
+                             "tag " + std::to_string(i)});
+  }
+  const sim::MissionInputs in = sim::materialize(scenario);
+  std::vector<core::TagAgent> conditions(in.tags.size());
+  Rng gen(2);
+  for (auto& c : conditions) {
+    const double u = gen.uniform(0.0, 1.0);
+    c.incident_power_dbm = u < 0.2 ? -40.0 : gen.uniform(-14.0, -2.0);
+    c.reply_snr_db = u < 0.3 ? -30.0 : u < 0.55 ? gen.uniform(0.0, 6.0) : 20.0;
+  }
+  constexpr std::uint64_t kSeed = 2;
+  core::InventoryRoundConfig round = in.config.inventory;
+  if (in.config.use_select) round.sel_target = gen2::SelTarget::kSl;
+  const gen2::Command select{in.config.select};
+  core::InventoryOutcome outcome;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<gen2::Tag> machines;
+    machines.reserve(in.tags.size());
+    std::vector<core::TagAgent> agents;
+    for (std::size_t i = 0; i < in.tags.size(); ++i) {
+      machines.emplace_back(in.tags[i].config, kSeed + 100 + i);
+      agents.push_back({&machines[i], conditions[i].incident_power_dbm,
+                        conditions[i].reply_snr_db});
+      if (in.config.use_select) {
+        gen2::CommandContext ctx;
+        ctx.incident_power_dbm = agents[i].incident_power_dbm;
+        machines[i].on_command(select, ctx);
+      }
+    }
+    reader::QAlgorithm q_algo(static_cast<double>(in.config.inventory.q));
+    Rng rng(kSeed);
+    state.ResumeTiming();
+    outcome = core::run_inventory(agents, round, q_algo, rng);
+    benchmark::DoNotOptimize(outcome);
+  }
+  state.counters["slots"] = outcome.slots;
+  state.counters["collisions"] = outcome.collisions;
+  state.counters["reads"] = static_cast<double>(outcome.epcs.size());
+}
+BENCHMARK(BM_SharedInventory)->Arg(1000)->Arg(5000)->ArgName("tags")->Unit(
+    benchmark::kMillisecond);
 
 void BM_SincosVariant(benchmark::State& state,
                       const localize::SarKernelVariant* variant) {

@@ -11,7 +11,7 @@ namespace rfly {
 /// SplitMix64 finalizer (Steele/Lea/Vigna): a cheap bijective avalanche mix
 /// over 64 bits. Used to derive decorrelated engine seeds — consecutive
 /// inputs (seed, seed+1) map to outputs with no arithmetic relation, unlike
-/// feeding raw `seed + i` into mt19937_64 where nearby seeds can collide
+/// feeding raw `seed + i` into MT19937-64 where nearby seeds can collide
 /// with other streams' derived values (e.g. `seed + 100 + i` tag streams).
 constexpr std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -28,6 +28,46 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) {
 constexpr std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t stream) {
   return splitmix64(splitmix64(seed) + 0x9E3779B97F4A7C15ull * stream);
 }
+
+/// MT19937-64 with the standard seeding recurrence, twist and tempering: it
+/// produces exactly std::mt19937_64's sequence for every seed. Its
+/// result_type, min() and max() match too, so libstdc++'s distributions take
+/// the same code paths over it (uniform_int's 128-bit multiply path keys on
+/// max() == 2^64-1; generate_canonical<double, 53> takes one word) and return
+/// the same values. What differs is the twist: it is written branch-free in
+/// lane-width blocks (rng.cpp), so the baseline -O2 build vectorizes it.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kStateWords = 312;
+
+  explicit Mt19937_64(result_type seed = 5489u) { this->seed(seed); }
+
+  void seed(result_type seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (index_ >= kStateWords) twist();
+    return temper(state_[index_++]);
+  }
+
+ private:
+  static result_type temper(result_type z) {
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    return z ^ (z >> 43);
+  }
+  /// Regenerate the state (out of line: once per kStateWords draws).
+  void twist();
+
+  // The index leads, so a struct embedding the engine right after its own
+  // hot fields (gen2::Tag) keeps it on their cache line.
+  std::uint32_t index_ = kStateWords;
+  std::uint64_t state_[kStateWords + 1];  // plus one scratch word (rng.cpp)
+};
 
 /// Seeded pseudo-random source. Cheap to pass by reference; not thread-safe
 /// (each simulation owns its own instance).
@@ -60,10 +100,10 @@ class Rng {
   /// own stream so adding draws in one place does not perturb another.
   Rng fork();
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace rfly

@@ -85,7 +85,12 @@ void ThreadPool::worker_loop() {
       --open_slots_;
       ++job->active;
     }
-    run_chunks(*job);
+    {
+      // One span per join, named after the layer that opened the region,
+      // so the helper's share of it is attributed there.
+      obs::Span span(job->span_name);
+      run_chunks(*job);
+    }
     {
       std::lock_guard<std::mutex> lk(mu_);
       --job->active;
@@ -113,11 +118,12 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end, std::size_t gr
   // Queue depth counts callers contending for the single job slot (the one
   // inside plus everyone parked on submit_mu_).
   pool_queue_depth().add(1.0);
+  Job job;
+  if (const char* owner = obs::current_span_name()) job.span_name = owner;
   std::lock_guard<std::mutex> submit_lk(submit_mu_);
   obs::Span job_span("pool.job");
   pool_jobs().inc();
 
-  Job job;
   job.end = end;
   job.grain = grain;
   job.next.store(begin, std::memory_order_relaxed);

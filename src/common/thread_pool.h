@@ -62,6 +62,9 @@ class ThreadPool {
     std::size_t grain = 1;
     std::atomic<std::size_t> next{0};
     const std::function<void(std::size_t, std::size_t)>* body = nullptr;
+    /// Span each joining helper opens around its chunks: the caller's
+    /// innermost open span when the job was submitted, else "pool.job".
+    const char* span_name = "pool.job";
     std::mutex error_mu;
     std::exception_ptr error;
     int active = 0;  // workers inside run_chunks (guarded by pool mu_)

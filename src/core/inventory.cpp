@@ -30,6 +30,10 @@ obs::Counter& gen2_slot_cap_hits() {
   static obs::Counter& c = obs::counter("gen2.slot_cap_hits");
   return c;
 }
+obs::Counter& gen2_invariant_violations() {
+  static obs::Counter& c = obs::counter("gen2.invariant_violations");
+  return c;
+}
 obs::Histogram& gen2_rounds_per_inventory() {
   static obs::Histogram& h = obs::histogram("gen2.rounds_per_inventory",
                                             obs::HistogramSpec::counts());
@@ -83,6 +87,12 @@ struct SlotReply {
 /// Each tag draws only from its own RNG and the reader's one draw depends
 /// only on the reply count, so skipping the no-op deliveries changes no
 /// draw: outcomes and final tag states are bit-identical to the broadcast.
+///
+/// The Query and the ACK go through Tag::on_command. QueryReps and
+/// QueryAdjusts, nearly every command of a large round, call the Tag's
+/// inline transitions directly (the ones on_command runs for them) on the
+/// live set's own copy of each tag's pointer and incident power, and build
+/// an RN16 frame only for a tag that replies.
 class AirInterface {
  public:
   AirInterface(std::vector<TagAgent>& tags, const InventoryRoundConfig& config)
@@ -92,6 +102,8 @@ class AirInterface {
   /// tags that answer in the first slot.
   void query(const gen2::QueryCommand& query, std::vector<SlotReply>& replies) {
     replies.clear();
+    live_tag_.clear();
+    live_power_.clear();
     live_index_.clear();
     live_due_.clear();
     live_synced_.clear();
@@ -101,11 +113,13 @@ class AirInterface {
     for (std::size_t i = 0; i < tags_.size(); ++i) {
       const std::size_t before = replies.size();
       deliver(i, cmd, replies);
-      const gen2::Tag& tag = *tags_[i].tag;
+      gen2::Tag& tag = *tags_[i].tag;
       if (replies.size() == before && tag.state() == gen2::TagState::kReply) {
         lingering_.push_back(i);
       }
       if (const std::uint32_t e = tag.query_reps_to_event(config_.session)) {
+        live_tag_.push_back(&tag);
+        live_power_.push_back(tags_[i].incident_power_dbm);
         live_index_.push_back(i);
         live_due_.push_back(e);
         live_synced_.push_back(0);
@@ -117,13 +131,15 @@ class AirInterface {
   void query_rep(std::vector<SlotReply>& replies) {
     replies.clear();
     ++reps_;
-    const gen2::Command cmd{gen2::QueryRepCommand{config_.session}};
-    for (std::size_t k = 0; k < live_index_.size(); ++k) {
+    const gen2::Session session = config_.session;
+    for (std::size_t k = 0; k < live_due_.size(); ++k) {
       if (live_due_[k] != reps_) continue;
-      gen2::Tag& tag = *tags_[live_index_[k]].tag;
-      tag.skip_query_reps(config_.session, reps_ - 1 - live_synced_[k]);
-      deliver(live_index_[k], cmd, replies);
-      const std::uint32_t e = tag.query_reps_to_event(config_.session);
+      gen2::Tag& tag = *live_tag_[k];
+      tag.skip_query_reps(session, reps_ - 1 - live_synced_[k]);
+      if (tag.stays_powered(live_power_[k]) && tag.on_query_rep(session)) {
+        replies.push_back({live_index_[k], tag.rn16_reply()});
+      }
+      const std::uint32_t e = tag.query_reps_to_event(session);
       live_due_[k] = e == 0 ? kDead : reps_ + e;
       live_synced_[k] = reps_;
     }
@@ -133,23 +149,27 @@ class AirInterface {
   /// QueryAdjust: every live tag redraws its slot; tags it closes drop out.
   void query_adjust(int q_delta, std::vector<SlotReply>& replies) {
     replies.clear();
-    gen2::QueryAdjustCommand adjust;
-    adjust.session = config_.session;
-    adjust.q_delta = q_delta;
-    const gen2::Command cmd{adjust};
+    const gen2::Session session = config_.session;
     std::size_t kept = 0;
-    for (std::size_t k = 0; k < live_index_.size(); ++k) {
+    for (std::size_t k = 0; k < live_due_.size(); ++k) {
       if (live_due_[k] == kDead) continue;
-      gen2::Tag& tag = *tags_[live_index_[k]].tag;
-      tag.skip_query_reps(config_.session, reps_ - live_synced_[k]);
-      deliver(live_index_[k], cmd, replies);
-      const std::uint32_t e = tag.query_reps_to_event(config_.session);
+      gen2::Tag& tag = *live_tag_[k];
+      tag.skip_query_reps(session, reps_ - live_synced_[k]);
+      if (tag.stays_powered(live_power_[k]) &&
+          tag.on_query_adjust(session, q_delta)) {
+        replies.push_back({live_index_[k], tag.rn16_reply()});
+      }
+      const std::uint32_t e = tag.query_reps_to_event(session);
       if (e == 0) continue;
+      live_tag_[kept] = &tag;
+      live_power_[kept] = live_power_[k];
       live_index_[kept] = live_index_[k];
       live_due_[kept] = reps_ + e;
       live_synced_[kept] = reps_;
       ++kept;
     }
+    live_tag_.resize(kept);
+    live_power_.resize(kept);
     live_index_.resize(kept);
     live_due_.resize(kept);
     live_synced_.resize(kept);
@@ -171,10 +191,9 @@ class AirInterface {
   /// Apply every live tag's pending QueryReps, leaving each tag in the
   /// state the broadcast loop would.
   void sync() {
-    for (std::size_t k = 0; k < live_index_.size(); ++k) {
+    for (std::size_t k = 0; k < live_due_.size(); ++k) {
       if (live_due_[k] == kDead) continue;
-      tags_[live_index_[k]].tag->skip_query_reps(config_.session,
-                                                 reps_ - live_synced_[k]);
+      live_tag_[k]->skip_query_reps(config_.session, reps_ - live_synced_[k]);
       live_synced_[k] = reps_;
     }
   }
@@ -207,9 +226,11 @@ class AirInterface {
   std::vector<TagAgent>& tags_;
   const InventoryRoundConfig& config_;
   std::uint32_t reps_ = 0;  // QueryReps sent since the Query
-  // Live tags, flat SoA: agent index, QueryRep count of the next event
-  // (kDead once no QueryRep or QueryAdjust can change the tag), and the
-  // QueryRep count the tag's own state reflects.
+  // Live tags, flat SoA: the tag, its incident power, its agent index, the
+  // QueryRep count of its next event (kDead once no QueryRep or QueryAdjust
+  // can change the tag), and the QueryRep count its own state reflects.
+  std::vector<gen2::Tag*> live_tag_;
+  std::vector<double> live_power_;
   std::vector<std::size_t> live_index_;
   std::vector<std::uint32_t> live_due_;
   std::vector<std::uint32_t> live_synced_;
@@ -227,6 +248,7 @@ InventoryOutcome run_inventory(std::vector<TagAgent>& tags,
   AirInterface air(tags, config);
   std::vector<SlotReply> replies;
   std::vector<SlotReply> epc_replies;
+  std::vector<std::size_t> read_agents;  // agent index of each EPC read
 
   for (int round = 0; round < config.max_rounds; ++round) {
     outcome.rounds = round + 1;
@@ -262,7 +284,10 @@ InventoryOutcome run_inventory(std::vector<TagAgent>& tags,
           air.ack(rn16->rn16, replies.front().tag_index, epc_replies);
           if (epc_replies.size() == 1) {
             const auto epc = gen2::decode_epc_reply(epc_replies.front().reply.bits);
-            if (epc) outcome.epcs.push_back(epc->epc);
+            if (epc) {
+              outcome.epcs.push_back(epc->epc);
+              read_agents.push_back(epc_replies.front().tag_index);
+            }
           }
         }
       } else {
@@ -291,6 +316,18 @@ InventoryOutcome run_inventory(std::vector<TagAgent>& tags,
     if (unproductive_rounds >= 4) break;
   }
   outcome.final_q = q;
+
+  // Always-on invariants: every slot has exactly one outcome, and no tag is
+  // acknowledged twice in one inventory (by agent, since populations may
+  // share EPCs). Each violation counts.
+  std::uint64_t violations =
+      outcome.slots == outcome.empties + outcome.singles + outcome.collisions ? 0 : 1;
+  std::sort(read_agents.begin(), read_agents.end());
+  for (std::size_t k = 1; k < read_agents.size(); ++k) {
+    if (read_agents[k] == read_agents[k - 1]) ++violations;
+  }
+  gen2_invariant_violations().add(violations);
+
   gen2_rounds().add(static_cast<std::uint64_t>(outcome.rounds));
   gen2_slots().add(static_cast<std::uint64_t>(outcome.slots));
   gen2_collisions().add(static_cast<std::uint64_t>(outcome.collisions));

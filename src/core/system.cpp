@@ -94,10 +94,20 @@ double RflySystem::effective_uplink_gain_db(const Vec3& relay_pos,
                            config_.relay_uplink_max_out_dbm);
 }
 
+double RflySystem::incident_dbm(const cdouble& h1, const cdouble& h2) const {
+  return relay_tx_dbm(h1) + amplitude_to_db(std::abs(h2));
+}
+
 double RflySystem::tag_incident_power_dbm(const Vec3& relay_pos,
                                           const Vec3& tag_pos) const {
-  return relay_tx_dbm(reader_relay_channel(relay_pos)) +
-         amplitude_to_db(std::abs(relay_tag_channel(relay_pos, tag_pos)));
+  return incident_dbm(reader_relay_channel(relay_pos),
+                      relay_tag_channel(relay_pos, tag_pos));
+}
+
+TagLink RflySystem::tag_link(const Vec3& relay_pos, const Vec3& tag_pos) const {
+  const cdouble h1 = reader_relay_channel(relay_pos);
+  const cdouble h2 = relay_tag_channel(relay_pos, tag_pos);
+  return {incident_dbm(h1, h2), snr_db(h1, h2)};
 }
 
 double RflySystem::direct_tag_incident_power_dbm(const Vec3& tag_pos) const {
@@ -109,16 +119,18 @@ double RflySystem::direct_tag_incident_power_dbm(const Vec3& tag_pos) const {
 }
 
 double RflySystem::reply_snr_db(const Vec3& relay_pos, const Vec3& tag_pos) const {
-  const double backscatter_at_relay_dbm =
-      tag_incident_power_dbm(relay_pos, tag_pos) +
-      amplitude_to_db(backscatter_delta_rho()) +
-      amplitude_to_db(std::abs(relay_tag_channel(relay_pos, tag_pos)));
+  return snr_db(reader_relay_channel(relay_pos), relay_tag_channel(relay_pos, tag_pos));
+}
+
+double RflySystem::snr_db(const cdouble& h1, const cdouble& h2) const {
+  const double backscatter_at_relay_dbm = incident_dbm(h1, h2) +
+                                          amplitude_to_db(backscatter_delta_rho()) +
+                                          amplitude_to_db(std::abs(h2));
   const double relay_out_dbm =
       saturated_output_dbm(backscatter_at_relay_dbm, config_.relay_uplink_gain_db,
                            config_.relay_uplink_max_out_dbm);
-  const double at_reader_dbm = relay_out_dbm +
-                               amplitude_to_db(std::abs(reader_relay_channel(relay_pos))) +
-                               config_.reader_rx_gain_dbi;
+  const double at_reader_dbm =
+      relay_out_dbm + amplitude_to_db(std::abs(h1)) + config_.reader_rx_gain_dbi;
   const double noise_dbm = watts_to_dbm(signal::thermal_noise_power(
       2.0 * config_.blf_hz, config_.reader_noise_figure_db));
   return at_reader_dbm - noise_dbm;
@@ -142,10 +154,11 @@ bool RflySystem::tag_readable(const Vec3& relay_pos, const Vec3& tag_pos,
                               Rng& rng) const {
   const double shadow_down = rng.gaussian(0.0, config_.shadowing_std_db);
   const double shadow_up = rng.gaussian(0.0, config_.shadowing_std_db);
-  const bool powered = tag_incident_power_dbm(relay_pos, tag_pos) + shadow_down >=
-                       config_.tag.sensitivity_dbm;
-  const bool decodable = reply_snr_db(relay_pos, tag_pos) + shadow_up >=
-                         config_.decode_snr_threshold_db;
+  const TagLink link = tag_link(relay_pos, tag_pos);
+  const bool powered =
+      link.incident_power_dbm + shadow_down >= config_.tag.sensitivity_dbm;
+  const bool decodable =
+      link.reply_snr_db + shadow_up >= config_.decode_snr_threshold_db;
   return powered && decodable;
 }
 

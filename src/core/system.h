@@ -79,6 +79,12 @@ struct SystemConfig {
   bool include_direct_path = true;
 };
 
+/// A tag's air-interface situation with the relay at one position.
+struct TagLink {
+  double incident_power_dbm = -100.0;  // tag_incident_power_dbm
+  double reply_snr_db = -100.0;        // reply_snr_db
+};
+
 struct ForwardPlane;   // forward_plane.h: per-flight hoisted channel plane
 struct SynthChannels;  // forward_plane.h: kernel-synthesized per-tag channels
 
@@ -127,6 +133,11 @@ class RflySystem {
 
   /// SNR of the tag's backscatter reply at the reader, through the relay.
   double reply_snr_db(const Vec3& relay_pos, const Vec3& tag_pos) const;
+
+  /// Both figures above from one reader→relay and one relay→tag channel
+  /// evaluation (each method alone evaluates its own), bit-identical to
+  /// calling them one by one.
+  TagLink tag_link(const Vec3& relay_pos, const Vec3& tag_pos) const;
 
   /// SNR of a direct (relay-less) reply at the reader.
   double direct_reply_snr_db(const Vec3& tag_pos) const;
@@ -213,6 +224,10 @@ class RflySystem {
   double downlink_gain_db(const cdouble& h1) const;
   /// measured_embedded_channel.
   cdouble embedded_channel(const cdouble& h1) const;
+  /// The same for tag_incident_power_dbm and reply_snr_db, also taking the
+  /// relay→tag channel h2 = relay_tag_channel(relay_pos, tag_pos).
+  double incident_dbm(const cdouble& h1, const cdouble& h2) const;
+  double snr_db(const cdouble& h1, const cdouble& h2) const;
 
   /// The collect loops' stochastic tail, the one implementation of the RNG
   /// contract above: ripple on the target channel, then estimate noise of

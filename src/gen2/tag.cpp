@@ -9,7 +9,8 @@
 
 namespace rfly::gen2 {
 
-Tag::Tag(TagConfig config, std::uint64_t seed) : config_(config), rng_(seed) {}
+Tag::Tag(TagConfig config, std::uint64_t seed)
+    : sensitivity_dbm_(config.sensitivity_dbm), rng_(seed), config_(config) {}
 
 void Tag::power_cycle() {
   state_ = TagState::kReady;
@@ -35,69 +36,19 @@ void Tag::on_power_gap(double seconds) {
 
 std::optional<TagReply> Tag::on_command(const Command& command,
                                         const CommandContext& ctx) {
-  if (!powered(ctx.incident_power_dbm)) {
-    power_cycle();
-    return std::nullopt;
-  }
+  if (!stays_powered(ctx.incident_power_dbm)) return std::nullopt;
 
   if (const auto* q = std::get_if<QueryCommand>(&command)) {
     return on_query(*q, ctx);
   }
 
   if (const auto* qr = std::get_if<QueryRepCommand>(&command)) {
-    if (qr->session != active_session_) return std::nullopt;
-    if (state_ == TagState::kAcknowledged || state_ == TagState::kOpen) {
-      // End of this tag's transaction: flip the inventoried flag and go quiet.
-      auto& flag = inventoried_[static_cast<std::size_t>(active_session_)];
-      flag = (flag == InventoryFlag::kA) ? InventoryFlag::kB : InventoryFlag::kA;
-      state_ = TagState::kReady;
-      return std::nullopt;
-    }
-    if (state_ == TagState::kReply) {
-      // Replied but was never validly ACKed (collision or decode failure):
-      // back to arbitration with a fresh slot in the current round.
-      state_ = TagState::kArbitrate;
-      slot_ = static_cast<std::uint32_t>(
-          rng_.uniform_int(1, std::max(1, (1 << q_) - 1)));
-      return std::nullopt;
-    }
-    if (state_ == TagState::kArbitrate) {
-      if (slot_ > 0) --slot_;
-      if (slot_ == 0) {
-        rn16_ = static_cast<std::uint16_t>(rng_.uniform_int(0, 0xFFFF));
-        state_ = TagState::kReply;
-        return TagReply{encode(Rn16Reply{rn16_}), ReplyKind::kRn16, blf_hz_,
-                    tr_ext_, modulation_};
-      }
-    }
+    if (on_query_rep(qr->session)) return rn16_reply();
     return std::nullopt;
   }
 
   if (const auto* qa = std::get_if<QueryAdjustCommand>(&command)) {
-    if (qa->session != active_session_) return std::nullopt;
-    if (state_ == TagState::kAcknowledged) {
-      // Like QueryRep, QueryAdjust closes an acknowledged transaction.
-      auto& flag = inventoried_[static_cast<std::size_t>(active_session_)];
-      flag = (flag == InventoryFlag::kA) ? InventoryFlag::kB : InventoryFlag::kA;
-      state_ = TagState::kReady;
-      return std::nullopt;
-    }
-    // The reader adjusts Q; tags redraw their slots. We model the redraw
-    // with the tag's remembered Q bounds folded into slot_ directly: a
-    // fresh draw over the previous range shifted by q_delta.
-    if (state_ == TagState::kArbitrate || state_ == TagState::kReply) {
-      const int new_q = std::clamp(static_cast<int>(q_) + qa->q_delta, 0, 15);
-      q_ = static_cast<std::uint8_t>(new_q);
-      slot_ = static_cast<std::uint32_t>(
-          rng_.uniform_int(0, (1 << q_) - 1));
-      if (slot_ == 0) {
-        rn16_ = static_cast<std::uint16_t>(rng_.uniform_int(0, 0xFFFF));
-        state_ = TagState::kReply;
-        return TagReply{encode(Rn16Reply{rn16_}), ReplyKind::kRn16, blf_hz_,
-                    tr_ext_, modulation_};
-      }
-      state_ = TagState::kArbitrate;
-    }
+    if (on_query_adjust(qa->session, qa->q_delta)) return rn16_reply();
     return std::nullopt;
   }
 
@@ -218,13 +169,7 @@ std::optional<TagReply> Tag::on_query(const QueryCommand& q,
   }
 
   slot_ = static_cast<std::uint32_t>(rng_.uniform_int(0, (1 << q.q) - 1));
-  if (slot_ == 0) {
-    rn16_ = static_cast<std::uint16_t>(rng_.uniform_int(0, 0xFFFF));
-    state_ = TagState::kReply;
-    return TagReply{encode(Rn16Reply{rn16_}), ReplyKind::kRn16, blf_hz_,
-                    tr_ext_, modulation_};
-  }
-  state_ = TagState::kArbitrate;
+  if (reply_if_slot_zero()) return rn16_reply();
   return std::nullopt;
 }
 

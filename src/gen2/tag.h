@@ -50,7 +50,7 @@ struct CommandContext {
   DivideRatio dr = DivideRatio::kDr8;        // from the Query command
 };
 
-class Tag {
+class alignas(64) Tag {
  public:
   Tag(TagConfig config, std::uint64_t seed);
 
@@ -61,7 +61,67 @@ class Tag {
 
   /// True if the incident power can operate the tag.
   bool powered(double incident_power_dbm) const {
-    return incident_power_dbm >= config_.sensitivity_dbm;
+    return incident_power_dbm >= sensitivity_dbm_;
+  }
+
+  /// The power check every command starts with: an under-powered tag loses
+  /// its volatile state (power_cycle) and hears nothing.
+  bool stays_powered(double incident_power_dbm) {
+    if (powered(incident_power_dbm)) return true;
+    power_cycle();
+    return false;
+  }
+
+  /// QueryRep of session `s` to a powered tag (the transition on_command
+  /// runs for it). True when the tag replies; its RN16 is current_rn16()
+  /// and rn16_reply() is the frame it backscatters.
+  bool on_query_rep(Session s) {
+    if (s != active_session_) return false;
+    if (state_ == TagState::kAcknowledged || state_ == TagState::kOpen) {
+      // End of this tag's transaction: flip the inventoried flag and go quiet.
+      close_transaction();
+      return false;
+    }
+    if (state_ == TagState::kReply) {
+      // Replied but was never validly ACKed (collision or decode failure):
+      // back to arbitration with a fresh slot in the current round.
+      state_ = TagState::kArbitrate;
+      slot_ = static_cast<std::uint32_t>(
+          rng_.uniform_int(1, std::max(1, (1 << q_) - 1)));
+      return false;
+    }
+    if (state_ == TagState::kArbitrate) {
+      if (slot_ > 0) --slot_;
+      return reply_if_slot_zero();
+    }
+    return false;
+  }
+
+  /// QueryAdjust of session `s` changing Q by `q_delta` to a powered tag
+  /// (the transition on_command runs for it). True when the tag replies,
+  /// as for on_query_rep.
+  bool on_query_adjust(Session s, int q_delta) {
+    if (s != active_session_) return false;
+    if (state_ == TagState::kAcknowledged) {
+      // Like QueryRep, QueryAdjust closes an acknowledged transaction.
+      close_transaction();
+      return false;
+    }
+    // The reader adjusts Q; tags redraw their slots. We model the redraw
+    // with the tag's remembered Q bounds folded into slot_ directly: a
+    // fresh draw over the previous range shifted by q_delta.
+    if (state_ == TagState::kArbitrate || state_ == TagState::kReply) {
+      q_ = static_cast<std::uint8_t>(std::clamp(static_cast<int>(q_) + q_delta, 0, 15));
+      slot_ = static_cast<std::uint32_t>(rng_.uniform_int(0, (1 << q_) - 1));
+      return reply_if_slot_zero();
+    }
+    return false;
+  }
+
+  /// The RN16 frame a tag that just replied backscatters.
+  TagReply rn16_reply() const {
+    return TagReply{encode(Rn16Reply{rn16_}), ReplyKind::kRn16, blf_hz_, tr_ext_,
+                    modulation_};
   }
 
   TagState state() const { return state_; }
@@ -75,6 +135,9 @@ class Tag {
   }
   const TagConfig& config() const { return config_; }
   std::uint16_t current_rn16() const { return rn16_; }
+  /// The Q of the tag's last Query or QueryAdjust, and its session.
+  std::uint8_t q() const { return q_; }
+  Session active_session() const { return active_session_; }
 
   /// QueryReps of session `s`, delivered while powered, until the one that
   /// next changes this tag's state beyond its slot counter (reply, redraw,
@@ -110,20 +173,48 @@ class Tag {
  private:
   std::optional<TagReply> on_query(const QueryCommand& q, const CommandContext& ctx);
 
-  TagConfig config_;
-  Rng rng_;
-  TagState state_ = TagState::kReady;
+  /// A tag whose slot counter is 0 (just drawn or counted down) draws its
+  /// RN16 and replies; any other keeps arbitrating.
+  bool reply_if_slot_zero() {
+    if (slot_ != 0) {
+      state_ = TagState::kArbitrate;
+      return false;
+    }
+    rn16_ = static_cast<std::uint16_t>(rng_.uniform_int(0, 0xFFFF));
+    state_ = TagState::kReply;
+    return true;
+  }
+
+  /// QueryRep or QueryAdjust after an acknowledged transaction: flip the
+  /// session's inventoried flag and go quiet.
+  void close_transaction() {
+    auto& flag = inventoried_[static_cast<std::size_t>(active_session_)];
+    flag = (flag == InventoryFlag::kA) ? InventoryFlag::kB : InventoryFlag::kA;
+    state_ = TagState::kReady;
+  }
+
+  // Hot fields first: everything a QueryRep or QueryAdjust reads or writes
+  // (the power check's threshold, slot, state, Q, session, RN16, the
+  // inventoried flags a closed transaction flips), then the engine, whose
+  // index leads it. The Tag is line-aligned, so a redraw touches this one
+  // cache line and the one engine word it draws. tr_ext_ and handle_ only
+  // fill padding here.
+  double sensitivity_dbm_;  // config_.sensitivity_dbm
   std::uint32_t slot_ = 0;
+  TagState state_ = TagState::kReady;
+  std::uint8_t q_ = 0;
+  Session active_session_ = Session::kS0;
+  bool tr_ext_ = false;
   std::uint16_t rn16_ = 0;
   std::uint16_t handle_ = 0;
-  bool sl_flag_ = false;
   InventoryFlag inventoried_[4] = {InventoryFlag::kA, InventoryFlag::kA,
                                    InventoryFlag::kA, InventoryFlag::kA};
-  Session active_session_ = Session::kS0;
-  std::uint8_t q_ = 0;
-  Miller modulation_ = Miller::kFm0;
+  Rng rng_;
+
+  TagConfig config_;
   double blf_hz_ = 500e3;
-  bool tr_ext_ = false;
+  bool sl_flag_ = false;
+  Miller modulation_ = Miller::kFm0;
 };
 
 /// Map FM0 half-bit levels onto the tag's reflection-coefficient sequence,

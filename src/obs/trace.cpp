@@ -22,6 +22,7 @@ struct ThreadBuffer {
   // Owner-thread-only state (never touched by drain):
   std::int64_t next_seq = 0;
   std::vector<std::int64_t> open_seqs;  // stack of open spans' seq ids
+  std::vector<const char*> open_names;  // and their names
 };
 
 /// Cap per-thread completed records between drains; a run that never drains
@@ -64,6 +65,7 @@ Span::Span(const char* name) : name_(name) {
   parent_ = buf.open_seqs.empty() ? -1 : buf.open_seqs.back();
   seq_ = buf.next_seq++;
   buf.open_seqs.push_back(seq_);
+  buf.open_names.push_back(name_);
   start_ns_ = monotonic_ns();  // last: exclude bookkeeping from the span
 }
 
@@ -71,6 +73,7 @@ Span::~Span() {
   const std::uint64_t end_ns = monotonic_ns();  // first, for the same reason
   ThreadBuffer& buf = Collector::instance().local();
   buf.open_seqs.pop_back();
+  buf.open_names.pop_back();
   std::lock_guard<std::mutex> lk(buf.mu);
   if (buf.completed.size() >= kMaxBufferedSpans) {
     ++buf.dropped;
@@ -85,6 +88,11 @@ Span::~Span() {
   record.seq = seq_;
   record.parent = parent_;
   buf.completed.push_back(record);
+}
+
+const char* current_span_name() {
+  const ThreadBuffer& buf = Collector::instance().local();
+  return buf.open_names.empty() ? nullptr : buf.open_names.back();
 }
 
 Trace drain_trace() {

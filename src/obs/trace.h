@@ -78,6 +78,11 @@ class Span {
 /// still open stay put and surface in a later drain once they close.
 Trace drain_trace();
 
+/// Name of the calling thread's innermost open span, or nullptr when it has
+/// none. The thread pool names its helpers' spans after the span that
+/// opened a parallel region, so their time lands in that layer.
+const char* current_span_name();
+
 #else  // !RFLY_OBS_ENABLED
 
 inline std::uint64_t monotonic_ns() { return 0; }
@@ -91,6 +96,8 @@ class Span {
 };
 
 inline Trace drain_trace() { return {}; }
+
+inline const char* current_span_name() { return nullptr; }
 
 #endif  // RFLY_OBS_ENABLED
 

@@ -270,10 +270,9 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
             return a.actual.distance_to(tags[i].position) <
                    b.actual.distance_to(tags[i].position);
           });
+      const core::TagLink link = system.tag_link(closest->actual, tags[i].position);
       std::vector<core::TagAgent> agents{
-          {&machine,
-           system.tag_incident_power_dbm(closest->actual, tags[i].position),
-           system.reply_snr_db(closest->actual, tags[i].position)}};
+          {&machine, link.incident_power_dbm, link.reply_snr_db}};
       core::InventoryRoundConfig round = config.inventory;
       if (config.use_select) {
         gen2::CommandContext ctx;

@@ -26,6 +26,7 @@
 #include "service/server.h"
 #include "service/wire.h"
 #include "sim/batch.h"
+#include "obs/metrics.h"
 #include "sim/fleet.h"
 #include "sim/fleet_plan.h"
 #include "sim/pipeline.h"
@@ -374,6 +375,13 @@ TEST(FleetInventory, CapHittingRoundMatchesBroadcastDigests) {
   // at the 16,384-slot cap. The digests were recorded from the seed's
   // broadcast inventory loop (every command to every tag).
   const sim::Scenario scenario = fleet_population(500, 1);
+  const auto invariant_violations = [] {
+    for (const auto& c : obs::snapshot().counters) {
+      if (c.name == "gen2.invariant_violations") return c.value;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t violations = invariant_violations();
   const struct {
     std::uint64_t seed;
     std::uint64_t digest;
@@ -397,6 +405,7 @@ TEST(FleetInventory, CapHittingRoundMatchesBroadcastDigests) {
   EXPECT_EQ(detail.inventory.slots, 8 * (1 << 14));
   EXPECT_EQ(detail.inventory.collisions, 43344);
   EXPECT_EQ(detail.inventory.epcs.size(), 423u);
+  EXPECT_EQ(invariant_violations(), violations);
 }
 
 // --- rflyd: fleet jobs flow through the daemon unchanged --------------------

@@ -12,6 +12,7 @@
 #include <variant>
 
 #include "core/inventory.h"
+#include "obs/metrics.h"
 
 namespace rfly::core {
 namespace {
@@ -362,6 +363,15 @@ InventoryOutcome broadcast_inventory(std::vector<TagAgent>& tags,
 
 // --- Differential: run_inventory vs the broadcast oracle ----------------------
 
+/// gen2.invariant_violations so far in this process (always 0 with the obs
+/// layer compiled out).
+std::uint64_t invariant_violations() {
+  for (const auto& c : obs::snapshot().counters) {
+    if (c.name == "gen2.invariant_violations") return c.value;
+  }
+  return 0;
+}
+
 /// One side of a differential case: tags, their agents, the reader's RNG.
 struct Side {
   std::vector<gen2::Tag> tags;
@@ -404,7 +414,8 @@ std::string first_difference(const InventoryOutcome& a, const InventoryOutcome& 
     const gen2::Tag& y = oracle.tags[i];
     bool same = x.state() == y.state() && x.current_rn16() == y.current_rn16() &&
                 x.current_handle() == y.current_handle() &&
-                x.sl_flag() == y.sl_flag();
+                x.sl_flag() == y.sl_flag() && x.q() == y.q() &&
+                x.active_session() == y.active_session();
     for (int s = 0; s < 4; ++s) {
       const auto session = static_cast<gen2::Session>(s);
       same = same && x.inventoried(session) == y.inventoried(session) &&
@@ -420,6 +431,7 @@ std::string first_difference(const InventoryOutcome& a, const InventoryOutcome& 
 
 TEST(InventoryDifferential, MatchesBroadcastOracleBitForBit) {
   constexpr int kCases = 2000;
+  const std::uint64_t violations = invariant_violations();
   int capped = 0;
   int reads = 0;
   for (int c = 0; c < kCases; ++c) {
@@ -504,6 +516,60 @@ TEST(InventoryDifferential, MatchesBroadcastOracleBitForBit) {
   // rounds stop at the slot cap.
   EXPECT_GT(reads, kCases);
   EXPECT_GT(capped, 0);
+  EXPECT_EQ(invariant_violations(), violations);
+}
+
+// The fleet's regime: hundreds of tags, a third of them powered but never
+// decodable, so collisions hold the round until the slot cap with hundreds
+// of live tags redrawn at every QueryAdjust, from a Query at Q up to 15
+// (tags draw slots over the whole 15-bit range). One round per case keeps
+// the broadcast oracle (every command to every tag) near half a second.
+TEST(InventoryDifferential, FleetScaleRoundsMatchBroadcastOracle) {
+  const struct {
+    std::size_t tags;
+    int q;
+  } cases[] = {{1000, 15}, {750, 12}, {500, 14}};
+  const std::uint64_t violations = invariant_violations();
+  int capped = 0;
+  std::uint64_t c = 0;
+  for (const auto& spec : cases) {
+    Rng gen(stream_seed(0xf1ee7, c++));
+    Side prod;
+    Side oracle;
+    prod.tags.reserve(spec.tags);
+    oracle.tags.reserve(spec.tags);
+    for (std::size_t i = 0; i < spec.tags; ++i) {
+      gen2::TagConfig cfg;
+      cfg.epc = make_epc(static_cast<std::uint32_t>(i));
+      const std::uint64_t tag_seed = gen.engine()();
+      prod.tags.emplace_back(cfg, tag_seed);
+      oracle.tags.emplace_back(cfg, tag_seed);
+    }
+    for (std::size_t i = 0; i < spec.tags; ++i) {
+      TagAgent agent{nullptr, -100.0, -100.0};
+      set_conditions(agent, 0.35, gen);
+      prod.agents.push_back({&prod.tags[i], agent.incident_power_dbm, agent.reply_snr_db});
+      oracle.agents.push_back({&oracle.tags[i], agent.incident_power_dbm, agent.reply_snr_db});
+    }
+    const std::uint64_t reader_seed = gen.engine()();
+    prod.rng = Rng(reader_seed);
+    oracle.rng = Rng(reader_seed);
+
+    InventoryRoundConfig cfg;
+    cfg.q = spec.q;
+    cfg.max_rounds = 1;
+    reader::QAlgorithm qa(static_cast<double>(cfg.q));
+    reader::QAlgorithm qb(static_cast<double>(cfg.q));
+    const auto a = run_inventory(prod.agents, cfg, qa, prod.rng);
+    const auto b = broadcast_inventory(oracle.agents, cfg, qb, oracle.rng);
+    ASSERT_EQ(first_difference(a, b, prod, oracle, qa, qb), "")
+        << spec.tags << " tags, q " << spec.q;
+    capped += a.capped_rounds;
+  }
+  // Every case ran into the slot cap; the first opened its round at Q 15,
+  // 32,768 slots, twice the cap.
+  EXPECT_EQ(capped, 3);
+  EXPECT_EQ(invariant_violations(), violations);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <sstream>
+#include <string>
+
 #include "gen2/tag.h"
 
 namespace rfly::gen2 {
@@ -217,6 +221,141 @@ TEST(Tag, DifferentSeedsDifferentSlots) {
     }
   }
   EXPECT_GT(distinct, 0);
+}
+
+// --- The direct QueryRep/QueryAdjust paths against on_command -------------
+//
+// The shared inventory round reaches live tags through stays_powered +
+// on_query_rep/on_query_adjust + rn16_reply instead of on_command. From any
+// reachable state, both must leave the same tag behind, send the same
+// frame, and leave the engine at the same word.
+
+/// Every observable of a tag; the slot shows through query_reps_to_event.
+std::string observe(const Tag& tag) {
+  std::ostringstream out;
+  out << static_cast<int>(tag.state()) << ' ' << tag.current_rn16() << ' '
+      << tag.current_handle() << ' ' << tag.sl_flag() << ' '
+      << static_cast<int>(tag.q()) << ' ' << static_cast<int>(tag.active_session());
+  for (int s = 0; s < 4; ++s) {
+    const auto session = static_cast<Session>(s);
+    out << ' ' << static_cast<int>(tag.inventoried(session)) << ' '
+        << tag.query_reps_to_event(session);
+  }
+  return out.str();
+}
+
+/// One random command, delivered to both tags through on_command.
+void drive_both(Tag& a, Tag& b, Rng& gen) {
+  CommandContext ctx = powered_ctx();
+  if (gen.chance(0.05)) ctx.incident_power_dbm = -30.0;
+  const auto session = static_cast<Session>(gen.uniform_int(0, 3));
+  Command cmd;
+  switch (gen.uniform_int(0, 5)) {
+    case 0: {
+      QueryCommand q;
+      q.q = static_cast<std::uint8_t>(gen.chance(0.5) ? gen.uniform_int(0, 2)
+                                                      : gen.uniform_int(0, 15));
+      q.session = gen.chance(0.7) ? a.active_session() : session;
+      q.target = gen.chance(0.8) ? a.inventoried(q.session) : InventoryFlag::kB;
+      cmd = q;
+      break;
+    }
+    case 1:
+      cmd = QueryRepCommand{gen.chance(0.8) ? a.active_session() : session};
+      break;
+    case 2: {
+      QueryAdjustCommand adjust;
+      adjust.session = gen.chance(0.8) ? a.active_session() : session;
+      adjust.q_delta = static_cast<int>(gen.uniform_int(-1, 1));
+      cmd = adjust;
+      break;
+    }
+    case 3:
+      cmd = AckCommand{gen.chance(0.9) ? a.current_rn16() : std::uint16_t{0x1234}};
+      break;
+    case 4: {
+      ReqRnCommand req;
+      req.rn16 = a.state() == TagState::kOpen ? a.current_handle() : a.current_rn16();
+      cmd = req;
+      break;
+    }
+    default:
+      cmd = NakCommand{};
+      break;
+  }
+  a.on_command(cmd, ctx);
+  b.on_command(cmd, ctx);
+}
+
+TEST(TagDirectPaths, MatchOnCommandFromEveryState) {
+  constexpr int kCases = 20000;
+  // Coverage of the command under test: [rep, adjust] x state before it,
+  // Q before it, session mismatches, unpowered deliveries and replies.
+  std::array<std::array<int, 5>, 2> by_state{};
+  std::array<int, 16> by_q{};
+  int mismatched = 0, unpowered = 0, replies = 0;
+  for (int c = 0; c < kCases; ++c) {
+    Rng gen(stream_seed(0x7a6, static_cast<std::uint64_t>(c)));
+    const std::uint64_t seed = gen.engine()();
+    Tag a(make_config(), seed);
+    Tag b(make_config(), seed);
+    const auto prefix = gen.uniform_int(0, 10);
+    for (std::int64_t i = 0; i < prefix; ++i) drive_both(a, b, gen);
+    ASSERT_EQ(observe(a), observe(b));
+
+    const double power = gen.chance(0.1) ? -30.0 : -10.0;
+    const Session session = gen.chance(0.8)
+                                ? a.active_session()
+                                : static_cast<Session>(gen.uniform_int(0, 3));
+    const bool rep = gen.chance(0.5);
+    ++by_state[rep ? 0 : 1][static_cast<std::size_t>(a.state())];
+    ++by_q[a.q()];
+    mismatched += session != a.active_session();
+    unpowered += power < make_config().sensitivity_dbm;
+
+    CommandContext ctx;
+    ctx.incident_power_dbm = power;
+    std::optional<TagReply> direct;
+    std::optional<TagReply> reference;
+    if (rep) {
+      if (a.stays_powered(power) && a.on_query_rep(session)) direct = a.rn16_reply();
+      reference = b.on_command(Command{QueryRepCommand{session}}, ctx);
+    } else {
+      QueryAdjustCommand adjust;
+      adjust.session = session;
+      adjust.q_delta = static_cast<int>(gen.uniform_int(-1, 1));
+      if (a.stays_powered(power) && a.on_query_adjust(session, adjust.q_delta)) {
+        direct = a.rn16_reply();
+      }
+      reference = b.on_command(Command{adjust}, ctx);
+    }
+    ASSERT_EQ(direct.has_value(), reference.has_value()) << "case " << c;
+    if (direct) {
+      ++replies;
+      EXPECT_EQ(direct->bits, reference->bits);
+      EXPECT_EQ(direct->kind, reference->kind);
+      EXPECT_EQ(direct->blf_hz, reference->blf_hz);
+      EXPECT_EQ(direct->pilot, reference->pilot);
+      EXPECT_EQ(direct->modulation, reference->modulation);
+    }
+    ASSERT_EQ(observe(a), observe(b)) << "case " << c;
+
+    // The engine's next draw: a Q=15 Query the tag answers draws its slot.
+    QueryCommand probe;
+    probe.q = 15;
+    probe.session = a.active_session();
+    probe.target = a.inventoried(probe.session);
+    a.on_command(Command{probe}, powered_ctx());
+    b.on_command(Command{probe}, powered_ctx());
+    ASSERT_EQ(observe(a), observe(b)) << "case " << c << " after the probe";
+  }
+  for (const auto& states : by_state) {
+    for (int seen : states) EXPECT_GT(seen, 0);
+  }
+  for (int seen : by_q) EXPECT_GT(seen, 0);
+  EXPECT_GT(mismatched, 0);
+  EXPECT_GT(unpowered, 0);
+  EXPECT_GT(replies, 0);
 }
 
 }  // namespace

@@ -1,17 +1,23 @@
 // The shared pool behind the parallel SAR engine: chunking, lifecycle,
-// exception propagation, and reuse. These run under TSAN via the `parallel`
-// CTest label (see README).
+// exception propagation, reuse, and the spans its helpers open. These run
+// under TSAN via the `parallel` CTest label (see README).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace rfly {
 namespace {
@@ -172,6 +178,72 @@ TEST(ThreadPool, NestedParallelForRunsSerially) {
     });
   });
   EXPECT_EQ(inner_calls.load(), 8 * 16);
+}
+
+/// A parallel_for whose chunks wait (up to 2 s) until a second thread has
+/// run one, so on a multi-core host at least one helper joins.
+void run_until_two_threads_join(ThreadPool& pool) {
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  pool.parallel_for(0, 64, 1, [&](std::size_t, std::size_t) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        threads.insert(std::this_thread::get_id());
+        if (threads.size() >= 2) return;
+      }
+      if (std::chrono::steady_clock::now() > deadline) return;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+}
+
+TEST(ThreadPool, HelpersOpenTheRegionOwnersSpan) {
+  if (!obs::kEnabled) GTEST_SKIP() << "obs layer compiled out";
+  if (std::thread::hardware_concurrency() < 2) GTEST_SKIP() << "needs 2 cores";
+  ThreadPool pool(4);
+  (void)obs::drain_trace();
+  {
+    obs::Span region("test.region");
+    run_until_two_threads_join(pool);
+  }
+  const auto trace = obs::drain_trace();
+  const obs::SpanRecord* owner = nullptr;
+  std::vector<const obs::SpanRecord*> helpers;
+  for (const auto& span : trace.spans) {
+    if (std::strcmp(span.name, "test.region") != 0) continue;
+    if (owner == nullptr) {
+      owner = &span;  // opened first: the caller's
+    } else {
+      helpers.push_back(&span);
+    }
+  }
+  ASSERT_NE(owner, nullptr);
+  ASSERT_GE(helpers.size(), 1u) << "no helper span named after the region";
+  std::set<std::uint32_t> threads{owner->thread};
+  for (const obs::SpanRecord* helper : helpers) {
+    threads.insert(helper->thread);
+    EXPECT_EQ(helper->depth, 0u);  // a root on the helper's own thread
+    EXPECT_GE(helper->start_ns, owner->start_ns);
+    EXPECT_LE(helper->end_ns, owner->end_ns);
+  }
+  EXPECT_GE(threads.size(), 2u);
+  // The helpers opened no pool.job span of their own.
+  for (const auto& span : trace.spans) {
+    if (span.thread != owner->thread) {
+      EXPECT_STRNE(span.name, "pool.job");
+    }
+  }
+
+  // A region opened outside any span: helpers name theirs pool.job.
+  run_until_two_threads_join(pool);
+  const auto unowned = obs::drain_trace();
+  std::set<std::uint32_t> pool_job_threads;
+  for (const auto& span : unowned.spans) {
+    if (std::strcmp(span.name, "pool.job") == 0) pool_job_threads.insert(span.thread);
+  }
+  EXPECT_GE(pool_job_threads.size(), 2u);
 }
 
 }  // namespace
