@@ -135,55 +135,6 @@ void BM_SincosLibm(benchmark::State& state) {
                           static_cast<std::int64_t>(kN));
 }
 
-// Forward-synthesis kernel: one hoisted plane, many tags. The fixture is
-// shared across registrations (the plane build is the amortized cost the
-// bench deliberately excludes — it happens once per flight, not per tag).
-struct ForwardFixture {
-  core::RflySystem system;
-  std::vector<drone::FlownPoint> flight;
-  core::ForwardPlane plane;
-};
-
-const ForwardFixture& forward_fixture() {
-  static const ForwardFixture* fixture = [] {
-    Rng rng(7);
-    core::RflySystem system(core::SystemConfig{},
-                            channel::warehouse_environment(24.0, 12.0, 2),
-                            {1.0, 1.0, 1.0});
-    auto flight =
-        drone::fly(drone::linear_trajectory({1.0, 3.0, 1.0}, {22.0, 3.0, 1.0}, 64),
-                   {}, drone::optitrack_tracking(), rng);
-    auto plane = core::ForwardPlane::build(system, flight);
-    return new ForwardFixture{std::move(system), std::move(flight),
-                              std::move(plane)};
-  }();
-  return *fixture;
-}
-
-std::vector<channel::Vec3> forward_tags(std::size_t count) {
-  std::vector<channel::Vec3> tags;
-  tags.reserve(count);
-  Rng rng(13);
-  for (std::size_t i = 0; i < count; ++i) {
-    tags.push_back({rng.uniform(1.0, 23.0), rng.uniform(0.5, 11.5),
-                    rng.uniform(0.2, 1.5)});
-  }
-  return tags;
-}
-
-void BM_ForwardSynthesis(benchmark::State& state) {
-  const auto& fixture = forward_fixture();
-  const auto tags = forward_tags(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::synthesize_forward_channels(fixture.system, fixture.plane, tags));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tags.size()) *
-                          static_cast<std::int64_t>(fixture.plane.size()));
-}
-BENCHMARK(BM_ForwardSynthesis)->Arg(1)->Arg(16)->Arg(256)->ArgName("tags");
-
 // The exact measure stage of one `warehouse` mission: the flight's plane
 // build plus one collect per tag (9 tags over 420 waypoints), as the
 // pipeline runs them. Each iteration replays the same draws.

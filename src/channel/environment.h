@@ -65,8 +65,8 @@ class Environment {
 /// obstacle? Plan-view crossing plus a height check at the crossing point;
 /// numerically degenerate crossings count as blocked (conservative). This
 /// is the primitive obstruction_loss_db and paths_between are built from,
-/// exposed for the batched measure-stage geometry (channel_batch.h), whose
-/// per-leg reflection checks must exclude the reflecting obstacle itself.
+/// exposed for channel::ChannelBound (channel_model.h), which folds each
+/// obstacle's transmission factor into the direct term the obstacle blocks.
 bool obstacle_blocks(const Obstacle& obstacle, const Vec3& a, const Vec3& b);
 
 /// Convenience builders used by tests, examples, and benches.

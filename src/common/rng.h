@@ -80,9 +80,14 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  /// Standard normal scaled to the given standard deviation and mean.
+  /// Standard normal scaled to the given standard deviation and mean. The
+  /// unit draw is scaled here rather than by the distribution, whose
+  /// stddev must be > 0: a spread configured to zero returns the mean and
+  /// still consumes the draws a unit spread would. libstdc++ computes
+  /// z * stddev + mean from the same polar draws, so every value matches
+  /// std::normal_distribution<double>(mean, stddev) where that is defined.
   double gaussian(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return mean + stddev * std::normal_distribution<double>()(engine_);
   }
 
   /// Uniform integer in [lo, hi] inclusive.

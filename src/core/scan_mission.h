@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/forward_kernel.h"
 #include "core/inventory.h"
 #include "core/system.h"
 #include "drone/flight.h"
@@ -64,12 +63,6 @@ struct ScanMissionConfig {
   /// kCoarseToFine trades the full sweep for a coarse lattice + top-K
   /// refinement.
   localize::SarSearch sar_search = localize::SarSearch::kExact;
-  /// Measurement-synthesis plane for the measure stage (forward_kernel.h).
-  /// kExact (the default) hoists the per-waypoint channels once per flight
-  /// and shares them across the mission's tags, bit-identical to the seed.
-  /// kFast additionally synthesizes channels with the forward kernels
-  /// (equivalent, not bit-identical).
-  MeasurePlane measure_plane = MeasurePlane::kExact;
 };
 
 struct ScannedItem {

@@ -334,39 +334,6 @@ Expected<localize::MeasurementSet> RflySystem::try_collect_measurements(
   return set;
 }
 
-// Fast-path collect: channels and readability precomputed by the forward
-// kernels (RNG-free), so this loop only sequences the stochastic draws —
-// in exactly the order the exact loop does (see the RNG contract in
-// system.h).
-Expected<localize::MeasurementSet> RflySystem::try_collect_measurements(
-    const std::vector<drone::FlownPoint>& flight, Rng& rng,
-    const ForwardPlane& plane, const SynthChannels& synth) const {
-  if (flight.empty()) {
-    return Status{StatusCode::kEmptyFlightPlan,
-                  "cannot collect measurements over an empty flight"};
-  }
-  localize::MeasurementSet set;
-  set.reserve(flight.size());
-  const double sigma = estimate_noise_sigma();
-  for (std::size_t i = 0; i < flight.size(); ++i) {
-    if (!synth.readable[i]) {
-      continue;
-    }
-    localize::RelayMeasurement m;
-    m.relay_position = flight[i].reported;
-    m.target_channel = cdouble{synth.target_re[i], synth.target_im[i]};
-    m.embedded_channel = plane.embedded[i];
-    add_ripple_and_noise(m, sigma, rng);
-    set.push_back(m);
-  }
-  if (set.empty()) {
-    return Status{StatusCode::kInsufficientData,
-                  "tag unpowered or undecodable at all " +
-                      std::to_string(flight.size()) + " flight points"};
-  }
-  return set;
-}
-
 double RflySystem::rssi_reference_magnitude_at_1m() const {
   // |h_iso| = |h2|^2 * (wire coupling)^-2 with |h2| at 1 m free space.
   const double h2_1m =

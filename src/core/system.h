@@ -85,8 +85,7 @@ struct TagLink {
   double reply_snr_db = -100.0;        // reply_snr_db
 };
 
-struct ForwardPlane;   // forward_plane.h: per-flight hoisted channel plane
-struct SynthChannels;  // forward_plane.h: kernel-synthesized per-tag channels
+struct ForwardPlane;  // forward_plane.h: per-flight hoisted channel plane
 
 class RflySystem {
  public:
@@ -169,8 +168,8 @@ class RflySystem {
   /// gaussians (amplitude dB, then phase rad — only when either ripple std
   /// is > 0) followed by four noise gaussians (target re/im, embedded
   /// re/im — only when the estimate sigma is > 0) are consumed, in flight
-  /// order; skipped points draw nothing. Every overload below keeps this
-  /// sequence — all channel math is RNG-free.
+  /// order; skipped points draw nothing. Both overloads keep this sequence —
+  /// all channel math is RNG-free.
   ///
   /// This overload builds a ForwardPlane for the flight and runs the
   /// plane-backed overload below; callers collecting several tags over one
@@ -195,15 +194,6 @@ class RflySystem {
   Expected<localize::MeasurementSet> try_collect_measurements(
       const std::vector<drone::FlownPoint>& flight, const Vec3& tag_pos,
       Rng& rng, const ForwardPlane& plane) const;
-
-  /// Fast-path collect: consumes channels and readability masks synthesized
-  /// by the forward kernels (linear-domain power math across waypoints).
-  /// Mathematically equivalent but not bit-identical to the exact path;
-  /// opt-in via measure.plane=fast. Draw order is still the exact sequence
-  /// documented above — synthesis is RNG-free.
-  Expected<localize::MeasurementSet> try_collect_measurements(
-      const std::vector<drone::FlownPoint>& flight, Rng& rng,
-      const ForwardPlane& plane, const SynthChannels& synth) const;
 
   /// Calibration constant for the RSSI baseline: |h_iso| at 1 m.
   double rssi_reference_magnitude_at_1m() const;

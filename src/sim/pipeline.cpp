@@ -231,18 +231,10 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
   // --- measure plane: hoist the per-waypoint forward-channel state once
   // per flight, shared across every tag below. Entirely RNG-free, so the
   // mission Rng sequence (and with it the report) is untouched.
-  const bool fast_plane = config.measure_plane == core::MeasurePlane::kFast;
   core::ForwardPlane plane;
-  std::vector<core::SynthChannels> synth;
   {
     StageTimer timer(run.trace, Stage::kMeasure);
     plane = core::ForwardPlane::build(system, flight);
-    if (fast_plane) {
-      std::vector<Vec3> positions;
-      positions.reserve(tags.size());
-      for (const auto& placement : tags) positions.push_back(placement.position);
-      synth = core::synthesize_forward_channels(system, plane, positions);
-    }
   }
 
   for (std::size_t i = 0; i < tags.size(); ++i) {
@@ -308,10 +300,7 @@ Expected<MissionRun> run_mission_pipeline(const core::ScanMissionConfig& config,
     {
       StageTimer timer(run.trace, Stage::kMeasure);
       auto collected =
-          fast_plane
-              ? system.try_collect_measurements(flight, rng, plane, synth[i])
-              : system.try_collect_measurements(flight, tags[i].position, rng,
-                                                plane);
+          system.try_collect_measurements(flight, tags[i].position, rng, plane);
       if (!collected) {
         item.status =
             collected.status().with_context("tag " + std::to_string(i));

@@ -100,6 +100,7 @@ bool parse_vec3(const std::string& text, Vec3& out) {
 
 struct FieldDef {
   std::string key;
+  /// Empty for a retired key: still parsed, never serialized.
   std::function<std::string(const Scenario&)> get;
   std::function<bool(Scenario&, const std::string&)> set;
   /// For knobs that lost values: what replaced a removed value, or nullptr.
@@ -282,14 +283,15 @@ const std::vector<FieldDef>& registry() {
                  [](Scenario& s, const std::string& v) {
                    return localize::parse_sar_search(v, s.sar_search);
                  }});
-    f.push_back({"measure.plane",
-                 [](const Scenario& s) {
-                   return std::string(core::measure_plane_name(s.measure_plane));
-                 },
-                 [](Scenario& s, const std::string& v) {
-                   return core::parse_measure_plane(v, s.measure_plane);
-                 },
-                 core::measure_plane_replacement});
+    // Retired knob: the measure stage has one plane. Files saved while it
+    // had two carry `measure.plane = exact`, which still parses and changes
+    // nothing; serialize() writes no field without a getter.
+    f.push_back({"measure.plane", nullptr,
+                 [](Scenario&, const std::string& v) { return v == "exact"; },
+                 [](const std::string& v) -> const char* {
+                   return v == "fast" || v == "auto" || v == "off" ? "exact"
+                                                                    : nullptr;
+                 }});
 
     f.push_back(double_field("faults.dropout",
                              [](Scenario& s) -> double& { return s.faults.dropout; }));
@@ -554,6 +556,16 @@ Status validate(const Scenario& scenario) {
                    " cells per tag exceeds the limit of " +
                    std::to_string(kMaxRefineCells));
   }
+  const double sar_work = tags * (scan_cells + refine_cells) * waypoints;
+  if (sar_work > static_cast<double>(kMaxSarCellSamples)) {
+    return invalid("SAR work: " + std::to_string(scenario.tags.size()) +
+                   " tags x (" + format_double(scan_cells) + " scan + " +
+                   format_double(refine_cells) + " refine cells) x " +
+                   format_double(waypoints) + " waypoints = " +
+                   format_double(sar_work) +
+                   " cell-samples exceed the limit of " +
+                   std::to_string(kMaxSarCellSamples));
+  }
   if (scenario.inventory.q < 0 || scenario.inventory.q > 15) {
     return invalid("inventory.q must be in [0, 15]");
   }
@@ -627,6 +639,7 @@ Status validate(const Scenario& scenario) {
 std::string serialize(const Scenario& scenario) {
   std::string out = "# rfly scenario v1\n";
   for (const auto& field : registry()) {
+    if (!field.get) continue;
     out += field.key;
     out += " = ";
     out += field.get(scenario);
@@ -871,7 +884,6 @@ core::ScanMissionConfig mission_config(const Scenario& scenario) {
   config.localize_threads = scenario.localize_threads;
   config.sar_kernel = scenario.sar_kernel;
   config.sar_search = scenario.sar_search;
-  config.measure_plane = scenario.measure_plane;
   return config;
 }
 

@@ -104,8 +104,6 @@ struct Scenario {
   unsigned localize_threads = 0;
   localize::SarKernel sar_kernel = localize::SarKernel::kExact;
   localize::SarSearch sar_search = localize::SarSearch::kExact;
-  /// Measurement-synthesis plane (`measure.plane = exact|fast`).
-  core::MeasurePlane measure_plane = core::MeasurePlane::kExact;
 
   /// Fault model (`faults.*` keys). All rates default to zero: a scenario
   /// without faults keys runs bit-identically to one predating the layer.
@@ -121,8 +119,10 @@ struct Scenario {
 // exhaust memory or hold a worker indefinitely (rflyd runs whatever
 // validates). Fixed, not knobs: each sits at least 100x above every preset
 // and the perfbench scenarios, whose largest costs are 140 waypoints in a
-// leg, 5000 tags x 270 waypoints, a 6,655-cell scan grid, 5000 tags x 112
-// scan cells, 405 refine cells per tag, 2 shelf rows and 2 relays a chain.
+// leg, 5000 tags x 270 waypoints, a 6,655-cell scan grid, 5000 tags x 96
+// scan cells, 320 refine cells per tag, 5000 tags x (96 + 245 cells) x 270
+// waypoints = 4.6e8 SAR cell-samples (149x under its ceiling), 2 shelf rows
+// and 2 relays a chain.
 inline constexpr std::size_t kMaxLegWaypoints = std::size_t{1} << 20;
 /// Tags x waypoints of all legs: the measure stage's channel evaluations.
 inline constexpr std::size_t kMaxTagWaypoints = std::size_t{1} << 28;
@@ -135,6 +135,11 @@ inline constexpr std::size_t kMaxScanCells = std::size_t{1} << 22;
 inline constexpr std::size_t kMaxMissionScanCells = std::size_t{1} << 26;
 /// Cells one tag's peak refinement evaluates (localize_refine_cells).
 inline constexpr std::size_t kMaxRefineCells = std::size_t{1} << 18;
+/// Tags x (scan + refine cells per tag) x waypoints of all legs: the
+/// cell-samples the localize stage can evaluate, each cell against every
+/// measurement. The ceilings above bound one axis each, and their product
+/// alone admits 2^42 (one tag, a 2^20-waypoint leg, a 2^22-cell grid).
+inline constexpr std::size_t kMaxSarCellSamples = std::size_t{1} << 36;
 inline constexpr int kMaxShelfRows = 256;
 inline constexpr int kMaxRelaysPerChain = 256;
 /// Bound on |x|, |y|, |z| of a leg end: past it a fine-grid step around the
@@ -165,7 +170,7 @@ Expected<Scenario> load_scenario_file(const std::string& path);
 /// Apply one `key=value` override (same keys as the serialized form;
 /// `leg = ...`, `tag = ...`, and `fleet.reader = ...` append). Unknown
 /// key -> kNotFound; a bad value -> kParseError, naming the replacement
-/// when the value is one the format removed (`measure.plane = auto`).
+/// when the value is one the format removed (`measure.plane = fast`).
 Status apply_override(Scenario& scenario, const std::string& key,
                       const std::string& value);
 

@@ -10,13 +10,10 @@
 //     point, in flight order; skipped points draw nothing; gated by the
 //     ripple stds and the estimate sigma) reconstructed draw by draw from a
 //     fresh Rng.
-//   - Forward kernels: the one scalar build is listed and active; fast
-//     synthesis tracks the exact channels to tight relative tolerance with
-//     identical readable sets.
-//   - Scenario knob `measure.plane`: names, parse, removed values,
-//     serialize/parse round-trip, override.
-//   - The full-mission parity matrix: measure.plane=exact reports reproduce
-//     the digests the seed loop's missions produced, across {threads 1/2/8}
+//   - The forward-kernel table perfbench still reads: one scalar entry,
+//     active.
+//   - The full-mission parity matrix: plane-backed reports reproduce the
+//     digests the seed loop's missions produced, across {threads 1/2/8}
 //     x {batched, per-mission} x {faults on/off}.
 //   - The plane's cost contract: each build charges one channel eval per
 //     waypoint, and every single-relay mission builds exactly one plane.
@@ -28,8 +25,7 @@
 //     tag-waypoint of a warehouse mission.
 //
 // Run it in the TSAN tree (concurrent missions under the batch runner) and
-// the ASan+UBSan tree (kernel pointer arithmetic, SoA tails, per-tag
-// tables).
+// the ASan+UBSan tree (plane indexing, the bound's per-obstacle tables).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -189,9 +185,6 @@ TEST(ExactPlane, HoistsMatchScalarMethodsBitwise) {
   ASSERT_EQ(plane.size(), f.flight.size());
   for (std::size_t i = 0; i < f.flight.size(); ++i) {
     const Vec3& a = f.flight[i].actual;
-    EXPECT_EQ(plane.px[i], a.x);
-    EXPECT_EQ(plane.py[i], a.y);
-    EXPECT_EQ(plane.pz[i], a.z);
     const cdouble h1 = f.system.reader_relay_channel(a);
     EXPECT_EQ(plane.h1[i], h1) << i;
     EXPECT_EQ(plane.h1_abs_db[i], amplitude_to_db(std::abs(h1))) << i;
@@ -289,102 +282,14 @@ TEST(DrawOrder, AllGatesClosedDrawsNothing) {
   expect_draw_count(config, 0);
 }
 
-// --- Forward kernels ----------------------------------------------------
-
-/// Noise- and ripple-free config: channel comparisons below are then pure
-/// synthesis, no stochastic term to swamp the tolerance.
-core::SystemConfig quiet_config() {
-  core::SystemConfig config;
-  config.channel_noise = false;
-  config.amplitude_ripple_std_db = 0.0;
-  config.phase_ripple_std_rad = 0.0;
-  return config;
-}
-
-void expect_channels_close(const cdouble& a, const cdouble& b,
-                           double rel = 1e-9) {
-  const double scale = std::max(std::abs(a), std::abs(b));
-  EXPECT_NEAR(a.real(), b.real(), rel * scale);
-  EXPECT_NEAR(a.imag(), b.imag(), rel * scale);
-}
-
-TEST(FastPlane, MatchesExactWithIdenticalReadableSets) {
-  const auto f = make_fixture(6, quiet_config());
-  const auto plane = core::ForwardPlane::build(f.system, f.flight);
-  const auto synth = core::synthesize_forward_channels(f.system, plane, f.tags);
-  ASSERT_EQ(synth.size(), f.tags.size());
-
-  for (std::size_t t = 0; t < f.tags.size(); ++t) {
-    Rng ra(7), rb(7);
-    const auto exact =
-        f.system.try_collect_measurements(f.flight, f.tags[t], ra, plane);
-    const auto fast =
-        f.system.try_collect_measurements(f.flight, rb, plane, synth[t]);
-    ASSERT_TRUE(exact.ok()) << exact.status().to_string();
-    ASSERT_TRUE(fast.ok()) << fast.status().to_string();
-    // The linear-domain power checks are monotone transforms of the dBm
-    // checks: same survivors.
-    ASSERT_EQ(fast.value().size(), exact.value().size()) << "tag " << t;
-    for (std::size_t i = 0; i < exact.value().size(); ++i) {
-      const auto& e = exact.value()[i];
-      const auto& g = fast.value()[i];
-      EXPECT_EQ(g.relay_position.x, e.relay_position.x);
-      EXPECT_EQ(g.relay_position.y, e.relay_position.y);
-      EXPECT_EQ(g.relay_position.z, e.relay_position.z);
-      expect_channels_close(g.target_channel, e.target_channel);
-      // The embedded channel comes straight off the plane in both paths.
-      EXPECT_EQ(g.embedded_channel, e.embedded_channel);
-    }
-  }
-}
+// --- The forward-kernel table perfbench reads ----------------------------
 
 TEST(ForwardKernels, VariantListIsSaneAndDispatchPicksSupported) {
   const auto& variants = core::forward_kernel_variants();
   ASSERT_EQ(variants.size(), 1u);  // the one scalar build
   EXPECT_STREQ(variants[0].isa, "scalar");
   EXPECT_TRUE(variants[0].supported);
-  EXPECT_NE(variants[0].distances, nullptr);
-  EXPECT_NE(variants[0].phasors, nullptr);
-  EXPECT_NE(variants[0].synthesize, nullptr);
   EXPECT_EQ(&core::forward_kernel_active(), &variants[0]);
-}
-
-// --- Scenario knob -------------------------------------------------------
-
-TEST(MeasurePlaneKnob, NamesParseAndResolve) {
-  using core::MeasurePlane;
-  EXPECT_STREQ(core::measure_plane_name(MeasurePlane::kExact), "exact");
-  EXPECT_STREQ(core::measure_plane_name(MeasurePlane::kFast), "fast");
-
-  MeasurePlane mode = MeasurePlane::kExact;
-  EXPECT_TRUE(core::parse_measure_plane("fast", mode));
-  EXPECT_EQ(mode, MeasurePlane::kFast);
-  EXPECT_TRUE(core::parse_measure_plane("exact", mode));
-  EXPECT_EQ(mode, MeasurePlane::kExact);
-  EXPECT_FALSE(core::parse_measure_plane("Fast", mode));
-  EXPECT_FALSE(core::parse_measure_plane("", mode));
-  // The removed names no longer parse; each names its replacement.
-  for (const char* removed : {"off", "auto"}) {
-    EXPECT_FALSE(core::parse_measure_plane(removed, mode)) << removed;
-    EXPECT_STREQ(core::measure_plane_replacement(removed), "exact") << removed;
-  }
-  EXPECT_EQ(core::measure_plane_replacement("bogus"), nullptr);
-  EXPECT_EQ(mode, MeasurePlane::kExact);  // failed parse leaves `out` alone
-}
-
-TEST(MeasurePlaneKnob, ScenarioRoundTripsAndOverrides) {
-  auto scenario = *sim::preset("building");
-  EXPECT_EQ(scenario.measure_plane, core::MeasurePlane::kExact);
-  ASSERT_TRUE(
-      sim::apply_override(scenario, "measure.plane", "fast").is_ok());
-  EXPECT_EQ(scenario.measure_plane, core::MeasurePlane::kFast);
-  const std::string text = sim::serialize(scenario);
-  EXPECT_NE(text.find("measure.plane = fast"), std::string::npos);
-  const auto parsed = sim::parse_scenario(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed.value().measure_plane, core::MeasurePlane::kFast);
-  EXPECT_FALSE(
-      sim::apply_override(scenario, "measure.plane", "bogus").is_ok());
 }
 
 // --- Full-mission parity matrix ------------------------------------------
@@ -421,7 +326,6 @@ constexpr SeedDigests kSeedLoopDigestsFaults = {0xa61a4888229bc960ull,
 TEST_P(ExactPlaneMatrix, BitIdenticalToScalarCollect) {
   const MeasureMatrixCase c = GetParam();
   sim::Scenario scenario = matrix_scenario();
-  ASSERT_EQ(scenario.measure_plane, core::MeasurePlane::kExact);
   if (c.faults) scenario.faults.dropout = 0.2;
   const SeedDigests want = c.faults ? kSeedLoopDigestsFaults : kSeedLoopDigests;
   const std::vector<sim::BatchJob> jobs{{scenario, 11}, {scenario, 12}, {scenario, 11}};
@@ -476,33 +380,6 @@ TEST(ForwardPlane, BuildCostIsOncePerWaypointAndOncePerMission) {
       ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
     }
     EXPECT_EQ(builds.value() - before, jobs.size()) << sim::batch_mode_name(mode);
-  }
-}
-
-TEST(FastPlaneMission, TracksExactReportClosely) {
-  // Fast mode is not bit-identical, but on a real mission it must agree on
-  // the discovery/localization outcome and land estimates within a small
-  // fraction of the grid resolution.
-  sim::Scenario exact = matrix_scenario();
-  exact.measure_plane = core::MeasurePlane::kExact;
-  sim::Scenario fast = matrix_scenario();
-  fast.measure_plane = core::MeasurePlane::kFast;
-
-  const auto a = sim::run_scenario(exact, 11);
-  const auto b = sim::run_scenario(fast, 11);
-  ASSERT_TRUE(a.ok()) << a.status().to_string();
-  ASSERT_TRUE(b.ok()) << b.status().to_string();
-  const auto& ra = a.value().report;
-  const auto& rb = b.value().report;
-  EXPECT_EQ(ra.discovered, rb.discovered);
-  EXPECT_EQ(ra.localized, rb.localized);
-  ASSERT_EQ(ra.items.size(), rb.items.size());
-  for (std::size_t i = 0; i < ra.items.size(); ++i) {
-    EXPECT_EQ(ra.items[i].localized, rb.items[i].localized) << "item " << i;
-    EXPECT_EQ(ra.items[i].measurements, rb.items[i].measurements) << "item " << i;
-    if (!ra.items[i].localized) continue;
-    EXPECT_NEAR(ra.items[i].estimate.x, rb.items[i].estimate.x, 0.2) << "item " << i;
-    EXPECT_NEAR(ra.items[i].estimate.y, rb.items[i].estimate.y, 0.2) << "item " << i;
   }
 }
 

@@ -111,5 +111,24 @@ TEST(Rng, EveryMethodMatchesTheStandardEngine) {
   }
 }
 
+// A zero spread (zero flight jitter, component_spread_db 0, zero ripple or
+// shadowing stds) returns the mean exactly and leaves the engine where a
+// unit spread leaves it, so switching a spread off moves no later draw.
+TEST(Rng, ZeroSpreadGaussianIsTheMeanAndDrawsLikeAUnitSpread) {
+  for (const std::uint64_t seed : test_seeds()) {
+    for (const double mean : {0.0, 1.5, -42.25, 915e6}) {
+      Rng zero(seed);
+      Rng unit(seed);
+      for (int i = 0; i < 64; ++i) {
+        ASSERT_TRUE(same_bits(zero.gaussian(mean, 0.0), mean))
+            << "seed " << seed << " mean " << mean << " draw " << i;
+        unit.gaussian(mean, 1.0);
+        ASSERT_EQ(zero.engine()(), unit.engine()())
+            << "seed " << seed << " mean " << mean << " draw " << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rfly

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <clocale>
 #include <string>
 
@@ -179,16 +180,24 @@ TEST(Scenario, ValidatorRejectsHostileWorkWithTypedError) {
 }
 
 // The ceilings sit at least 100x above every preset: each still validates
-// with its costs scaled by 100 along each budgeted axis. (The 5000-tag
-// fleet workload has its own check in test_fleet.cpp.)
+// with its costs scaled by 100 along one budgeted axis at a time. Each such
+// scaling grows the SAR work product (tags x cells x waypoints) by at most
+// 100x, and that product is itself a ceiling, so the axes are scaled one
+// by one rather than all at once. (The 5000-tag fleet workload has its own
+// check in test_fleet.cpp.)
 TEST(Scenario, WorkCeilingsLeaveHeadroomOverPresets) {
   for (const auto& name : preset_names()) {
-    auto scenario = *preset(name);
-    scenario.search_halfwidth_m *= 10.0;  // 100x the scan cells
-    scenario.grid_resolution_m /= 10.0;   // 100x the refine cells
-    for (auto& leg : scenario.legs) leg.points *= 100;
-    EXPECT_TRUE(validate(scenario).is_ok()) << name << ": "
-                                            << validate(scenario).to_string();
+    const Scenario base = *preset(name);
+    Scenario wider = base;
+    wider.search_halfwidth_m *= 10.0;  // 100x the scan cells
+    Scenario finer = base;
+    finer.grid_resolution_m /= 10.0;  // 100x the refine cells
+    Scenario longer = base;
+    for (auto& leg : longer.legs) leg.points *= 100;
+    for (const Scenario& scenario : {base, wider, finer, longer}) {
+      EXPECT_TRUE(validate(scenario).is_ok())
+          << name << ": " << validate(scenario).to_string();
+    }
   }
 }
 
@@ -209,7 +218,14 @@ TEST(Scenario, ValidatorEnforcesEachWorkCeilingAtItsBoundary) {
   over.legs[0].points = kMaxLegWaypoints + 1;
   expect_limit(ok, over, "leg 0: 1048577 waypoints exceed the limit of 1048576");
 
-  // 3 tags x 85 or 86 legs of 2^20 waypoints, around the 2^28 ceiling.
+  // 3 tags x 85 or 86 legs of 2^20 waypoints, around the 2^28 ceiling. At
+  // more than 256 cells a tag, 2^28 tag-waypoints are already over the SAR
+  // work ceiling (2^36 cell-samples), so the search window shrinks to a
+  // 0.5 m half-width on a 5 cm grid (under 200 cells a tag).
+  ok.search_halfwidth_m = 0.5;
+  ok.grid_resolution_m = 0.05;
+  over.search_halfwidth_m = ok.search_halfwidth_m;
+  over.grid_resolution_m = ok.grid_resolution_m;
   ok.legs.assign(85, {{0, 4, 1.5}, {30, 4, 1.5}, kMaxLegWaypoints});
   over.legs.assign(86, ok.legs.front());
   expect_limit(ok, over, "tag x leg: 3 tags x 90177536 waypoints");
@@ -243,6 +259,44 @@ TEST(Scenario, ValidatorEnforcesEachWorkCeilingAtItsBoundary) {
   ok.legs[0].end.x = kMaxLegCoordinateM;
   over.legs[0].end.x = -1.5 * kMaxLegCoordinateM;
   expect_limit(ok, over, "leg 0: coordinate -1500000 is not finite");
+
+  // 3 tags x (6655 scan + 320 refine cells) over 3,284,084 or 3,284,085
+  // waypoints, around the 2^36 SAR work ceiling.
+  ok = building;
+  over = building;
+  ok.legs.assign(3, {{4.0, 12.0, 1.2}, {24.0, 12.3, 1.2}, kMaxLegWaypoints});
+  ok.legs.push_back({{4.0, 12.0, 1.2}, {24.0, 12.3, 1.2}, 138356});
+  over.legs = ok.legs;
+  ++over.legs.back().points;
+  expect_limit(ok, over, "SAR work: 3 tags x (6655 scan + 320 refine cells) x "
+                         "3284085 waypoints = 68719478625 cell-samples exceed "
+                         "the limit of 68719476736");
+}
+
+// One tag, one 2^20-waypoint leg and a 4.13 M-cell scan grid: every factor
+// sits under its own ceiling, but together they ask for 2^42 cell-samples
+// of SAR sweep. validate() refuses it at once, naming the factors.
+TEST(Scenario, SarWorkProductOverCeilingFailsValidateAtOnce) {
+  Scenario hostile = *preset("warehouse");
+  hostile.tags.resize(1);
+  hostile.legs.assign(1, {{1.0, 6.6, 1.2}, {39.0, 6.8, 1.2}, kMaxLegWaypoints});
+  hostile.search_halfwidth_m = 72.0;
+  const auto start = std::chrono::steady_clock::now();
+  const Status status = validate(hostile);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.to_string().find("SAR work: 1 tags x (4134235 scan + 320 "
+                                    "refine cells) x 1048576 waypoints"),
+            std::string::npos)
+      << status.to_string();
+  EXPECT_NE(status.to_string().find("exceed the limit of 68719476736"),
+            std::string::npos)
+      << status.to_string();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(50));  // measured at ~10 us
+  // The same scenario as text, through the parser rflyd runs on SUBMIT.
+  const auto parsed = parse_scenario(serialize(hostile));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Scenario, ParseReportsLineNumberOnBadInput) {
@@ -354,6 +408,8 @@ TEST(Scenario, SearchModeRoundTripsAndRejectsUnknownNames) {
 // Knob values the format removed fail with a parse error naming their
 // replacement, both as an override and as a line of a saved file — older
 // builds wrote `measure.plane = auto` into every scenario they serialized.
+// serialize() no longer writes `measure.plane` at all, so the saved-file
+// case inserts that line.
 TEST(Scenario, RemovedKnobValuesNameTheirReplacement) {
   struct Removed {
     const char* key;
@@ -362,6 +418,7 @@ TEST(Scenario, RemovedKnobValuesNameTheirReplacement) {
   };
   const Removed removed[] = {{"measure.plane", "off", "exact"},
                              {"measure.plane", "auto", "exact"},
+                             {"measure.plane", "fast", "exact"},
                              {"localize.sar_kernel", "auto", "fast"}};
   const std::string saved = serialize(*preset("building"));
   for (const auto& r : removed) {
@@ -376,14 +433,50 @@ TEST(Scenario, RemovedKnobValuesNameTheirReplacement) {
     std::string text = saved;
     const std::string line = std::string(r.key) + " = ";
     const std::size_t at = text.find(line);
-    ASSERT_NE(at, std::string::npos) << r.key;
-    text.replace(at, text.find('\n', at) - at, line + r.value);
+    if (at == std::string::npos) {
+      text += line + r.value + "\n";
+    } else {
+      text.replace(at, text.find('\n', at) - at, line + r.value);
+    }
     const auto parsed = parse_scenario(text);
     ASSERT_FALSE(parsed.ok()) << r.key << " = " << r.value;
     EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
     EXPECT_NE(parsed.status().to_string().find(hint), std::string::npos)
         << parsed.status().to_string();
   }
+}
+
+// The measure stage has one plane. Files saved while it had two carry
+// `measure.plane = exact`: that line still parses, in a file and as an
+// override, and yields the scenario the text without it yields.
+// serialize() stops writing the key and still round-trips.
+TEST(Scenario, SavedPlaneExactLineParsesAndChangesNothing) {
+  for (const auto& name : preset_names()) {
+    const Scenario original = *preset(name);
+    const std::string text = serialize(original);
+    EXPECT_EQ(text.find("measure.plane"), std::string::npos) << name;
+    const auto without = parse_scenario(text);
+    ASSERT_TRUE(without.ok()) << without.status().to_string();
+    EXPECT_EQ(serialize(*without), text) << name;
+
+    const auto with = parse_scenario(text + "measure.plane = exact\n");
+    ASSERT_TRUE(with.ok()) << with.status().to_string();
+    EXPECT_EQ(serialize(*with), text) << name;
+
+    Scenario overridden = original;
+    ASSERT_TRUE(apply_override(overridden, "measure.plane", "exact").is_ok());
+    EXPECT_EQ(serialize(overridden), text) << name;
+  }
+  // A value it never took is a plain bad value, with no replacement named.
+  Scenario scenario = *preset("building");
+  const Status bogus = apply_override(scenario, "measure.plane", "bogus");
+  EXPECT_EQ(bogus.code(), StatusCode::kParseError);
+  EXPECT_EQ(bogus.to_string().find("was removed"), std::string::npos)
+      << bogus.to_string();
+  // Still a scalar key: a second line is a duplicate, as for any knob.
+  const std::string twice = serialize(*preset("building")) +
+                            "measure.plane = exact\nmeasure.plane = exact\n";
+  EXPECT_EQ(parse_scenario(twice).status().code(), StatusCode::kParseError);
 }
 
 TEST(Scenario, TagDescriptionsWithSpacesRoundTrip) {

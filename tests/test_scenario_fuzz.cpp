@@ -147,7 +147,7 @@ std::string over_budget(const Scenario& scenario, Rng& rng) {
   const auto huge = [&](double lo_exp, double hi_exp) {
     return format(std::pow(10.0, rng.uniform(lo_exp, hi_exp)));
   };
-  switch (rng.uniform_int(0, 5)) {
+  switch (rng.uniform_int(0, 6)) {
     case 0:  // scan grid over kMaxScanCells (from halfwidth ~72 m up)
       return with_value(text, "localize.search_halfwidth_m",
                         rng.chance(0.25) ? non_finite[pick(rng, 3)] : huge(2.0, 300.0));
@@ -164,6 +164,14 @@ std::string over_budget(const Scenario& scenario, Rng& rng) {
       const std::string c =
           rng.chance(0.25) ? non_finite[pick(rng, 3)] : sign + huge(6.01, 308.0);
       return text + "leg = 0 4 1.5 " + c + " 4 1.5 50\n";
+    }
+    case 5: {  // tags x cells x waypoints over kMaxSarCellSamples, every
+               // factor under its own ceiling (2e12 and up)
+      const std::string halfwidth = format(rng.uniform(40.0, 72.0));
+      const auto points = rng.uniform_int(static_cast<std::int64_t>(kMaxLegWaypoints / 2),
+                                          static_cast<std::int64_t>(kMaxLegWaypoints));
+      return with_value(text, "localize.search_halfwidth_m", halfwidth) +
+             "leg = 0 4 1.5 30 4 1.5 " + std::to_string(points) + "\n";
     }
     default: {  // tags x waypoints over kMaxTagWaypoints, in full legs
       const std::size_t legs =

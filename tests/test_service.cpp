@@ -488,6 +488,14 @@ TEST(MissionServiceTest, InvalidScenarioIsTypedErrorNotQueueSlot) {
   auto ack = client->submit("definitely not a scenario", 1);
   ASSERT_FALSE(ack.ok());
   EXPECT_EQ(ack.status().code(), StatusCode::kParseError);
+  // A value the format removed: the retired fast measurement plane.
+  auto fast = client->submit(
+      sim::serialize(quick_scenario()) + "measure.plane = fast\n", 1);
+  ASSERT_FALSE(fast.ok());
+  EXPECT_EQ(fast.status().code(), StatusCode::kParseError);
+  EXPECT_NE(fast.status().to_string().find("'fast' was removed; use 'exact'"),
+            std::string::npos)
+      << fast.status().to_string();
   // The failed parse consumed nothing: no job, no rejection counted as
   // backpressure, connection still usable.
   const ServiceStats stats = daemon.stats();
@@ -502,8 +510,11 @@ TEST(MissionServiceTest, InvalidScenarioIsTypedErrorNotQueueSlot) {
 
 // A scenario whose search window needs ~8e14 heatmap cells per tag must
 // fail SUBMIT with a typed error instead of reaching a worker, where the
-// allocation throws std::bad_alloc and ends the daemon. The daemon keeps
-// serving: STATS answers and a normal mission still completes.
+// allocation throws std::bad_alloc and ends the daemon. So must one whose
+// every factor fits its own ceiling but whose SAR work (one tag, a
+// 4.13 M-cell grid, 2^20 waypoints: 2^42 cell-samples) would hold a worker
+// that CANCEL cannot free. The daemon keeps serving: STATS answers and a
+// normal mission still completes.
 TEST(MissionServiceTest, OverBudgetScenarioIsTypedErrorAndDaemonKeepsServing) {
   MissionService daemon;
   ASSERT_TRUE(daemon.start().is_ok());
@@ -518,6 +529,17 @@ TEST(MissionServiceTest, OverBudgetScenarioIsTypedErrorAndDaemonKeepsServing) {
   EXPECT_EQ(ack.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(ack.status().to_string().find("exceeds the limit"), std::string::npos)
       << ack.status().to_string();
+
+  auto long_haul = *sim::preset("warehouse");
+  long_haul.tags.resize(1);
+  long_haul.legs.assign(1, {{1.0, 6.6, 1.2}, {39.0, 6.8, 1.2}, sim::kMaxLegWaypoints});
+  long_haul.search_halfwidth_m = 72.0;
+  auto long_ack = client->submit(sim::serialize(long_haul), 1);
+  ASSERT_FALSE(long_ack.ok());
+  EXPECT_EQ(long_ack.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(long_ack.status().to_string().find("cell-samples exceed the limit"),
+            std::string::npos)
+      << long_ack.status().to_string();
 
   auto live = client->stats();
   ASSERT_TRUE(live.ok()) << live.status().to_string();
